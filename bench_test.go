@@ -1117,9 +1117,11 @@ func BenchmarkParamSetNetwork(b *testing.B) {
 		close(done)
 	}()
 	defer func() {
-		srv.Close()
+		// Quit the loop before Close: hub state is loop-owned, and Close
+		// walks the subscriber map the loop would otherwise still write.
 		loop.Quit()
 		<-done
+		srv.Close()
 	}()
 	conn, err := net.Dial("tcp", subAddr.String())
 	if err != nil {

@@ -206,29 +206,53 @@ func (ww *WriteWatch) Cancel() {
 // Done returns a channel closed when the writer goroutine has exited.
 func (ww *WriteWatch) Done() <-chan struct{} { return ww.done }
 
+// maxCoalesceBuf caps the writer's reusable coalescing buffer: a buffer
+// that a burst grew past it is dropped after the write, so an idle watch
+// holds at most this many bytes.
+const maxCoalesceBuf = 256 << 10
+
+// writer drains the queue: a lone chunk is written as is, several are
+// coalesced into one write through a buffer the writer owns and reuses,
+// and the drained queue slice becomes the next queue, so steady-state
+// writes allocate nothing.
 func (ww *WriteWatch) writer() {
 	defer close(ww.done)
+	var buf []byte
+	var spare [][]byte
 	for {
 		ww.mu.Lock()
 		batch := ww.queue
-		ww.queue = nil
+		if len(batch) > 0 {
+			ww.queue, spare = spare, nil
+		}
 		ww.protected = 0
 		closed := ww.closed
 		ww.mu.Unlock()
 
 		if len(batch) > 0 {
-			buf := make([]byte, 0, 64*len(batch))
-			for _, c := range batch {
-				buf = append(buf, c...)
+			out := batch[0]
+			if len(batch) > 1 {
+				buf = buf[:0]
+				for _, c := range batch {
+					buf = append(buf, c...)
+				}
+				out = buf
 			}
-			if _, err := ww.w.Write(buf); err != nil {
+			_, err := ww.w.Write(out)
+			n, chunks := int64(len(out)), int64(len(batch))
+			if cap(buf) > maxCoalesceBuf {
+				buf = nil
+			}
+			clear(batch) // the chunks are shared; don't pin them
+			spare = batch[:0]
+			if err != nil {
 				ww.errv.Store(err)
 				ww.mu.Lock()
 				ww.closed = true
 				// The failed batch and anything still queued will never
 				// be written; count them dropped so Flushed() (and its
 				// waiters) converge instead of spinning forever.
-				ww.droppedB.Add(int64(len(buf)))
+				ww.droppedB.Add(n)
 				for _, c := range ww.queue {
 					ww.droppedB.Add(int64(len(c)))
 				}
@@ -239,8 +263,8 @@ func (ww *WriteWatch) writer() {
 				}
 				return
 			}
-			ww.sent.Add(int64(len(batch)))
-			ww.written.Add(int64(len(buf)))
+			ww.sent.Add(chunks)
+			ww.written.Add(n)
 			continue
 		}
 		if closed {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -264,4 +265,55 @@ func TestWriteWatchAllProtectedCappedAtLimit(t *testing.T) {
 	}
 	ww.Cancel()
 	<-ww.Done()
+}
+
+// stepWriter blocks each Write until a token arrives on step.
+type stepWriter struct{ step chan struct{} }
+
+func (w stepWriter) Write(p []byte) (int, error) {
+	<-w.step
+	return len(p), nil
+}
+
+// TestWriteWatchWriterAllocFree: a lone chunk is written as is and a
+// coalesced burst reuses the writer's buffer and the drained queue slice,
+// so steady-state writes allocate nothing — until a burst outgrows the
+// buffer cap, after which the buffer is dropped and a later burst pays
+// for a fresh one.
+func TestWriteWatchWriterAllocFree(t *testing.T) {
+	loop := NewLoop(NewVirtualClock(time.Unix(0, 0)))
+	w := stepWriter{step: make(chan struct{})}
+	ww := loop.WatchWriter(w, 0, nil)
+	defer func() {
+		ww.Cancel()
+		<-ww.Done()
+	}()
+	round := func(a, b, c []byte) func() {
+		return func() {
+			ww.Send(a)
+			for ww.Queued() != 0 { // the writer holds a, blocked in Write
+				runtime.Gosched()
+			}
+			ww.Send(b)
+			ww.Send(c)
+			w.step <- struct{}{} // a, written alone
+			w.step <- struct{}{} // b and c, coalesced
+			for !ww.Flushed() {
+				runtime.Gosched()
+			}
+		}
+	}
+	small := round([]byte("aaaa\n"), []byte("bb\n"), []byte("c\n"))
+	small()
+	small() // warm-up: the queue slices and the buffer reach their size
+	if n := testing.AllocsPerRun(100, small); n != 0 {
+		t.Fatalf("steady-state writes allocate %v per round", n)
+	}
+	big := make([]byte, maxCoalesceBuf/2+1)
+	if n := testing.AllocsPerRun(10, round(big, big, big)); n < 1 {
+		t.Fatalf("a burst past the cap reused its buffer (%v allocs per round)", n)
+	}
+	if ww.Sent() != (2+101+11)*3 || ww.Dropped() != 0 { // AllocsPerRun adds a warm-up run
+		t.Fatalf("sent=%d dropped=%d", ww.Sent(), ww.Dropped())
+	}
 }

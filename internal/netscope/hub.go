@@ -99,11 +99,14 @@ const (
 	subLive
 )
 
-// subscriber is one downstream viewer connection.
+// subscriber is one downstream viewer: a TCP connection or an in-process
+// sink.
 type subscriber struct {
-	conn net.Conn
-	ww   *glib.WriteWatch
-	rw   *glib.IOWatch // read side: v2 command channel, v1 disconnect probe
+	out  Sink             // the outbound side every send goes through
+	enc  encoding         // tuple encoding of the chunks out receives
+	conn net.Conn         // nil for in-process sinks
+	ww   *glib.WriteWatch // the TCP queue behind out; nil for sinks
+	rw   *glib.IOWatch    // read side: v2 command channel, v1 disconnect probe
 
 	state   subState
 	counted bool          // reflected in hub.subscribes
@@ -115,10 +118,11 @@ type subscriber struct {
 
 	filtered int64 // tuples withheld by this sub's filter/decimation
 
-	// Sniffing state: the v1 snapshot captured at accept, delta chunks
-	// (shared with live subscribers' queues) delivered while undecided,
-	// and the grace timer that commits silent clients to v1.
-	snap     []byte
+	// Sniffing state: the history view captured at accept (formatted only
+	// if the client turns out to be v1), delta chunks (shared with live
+	// subscribers' queues) delivered while undecided, and the grace timer
+	// that commits silent clients to v1.
+	snap     []tuple.Tuple
 	pend     [][]byte
 	pendDrop int64
 	grace    *time.Timer
@@ -133,19 +137,13 @@ type subscriber struct {
 	// v3 binary delivery (req.Wire == 3, docs/WIRE.md). A plain
 	// subscription shares the hub's broadcast encoder stream and benc
 	// stays nil; a filtered/decimated one gets its own encoder — its
-	// narrowed stream needs its own dictionary — plus a filter scratch.
+	// narrowed stream needs its own dictionary. tmp is the filter scratch.
 	benc *tuple.BinaryEncoder
 	tmp  []tuple.Tuple
 }
 
-// binary reports whether the subscriber negotiated v3 binary delivery.
-func (sub *subscriber) binary() bool {
-	return sub.sub != nil && sub.sub.req.Wire == 3
-}
-
 // passing filters batch through the subscription (advancing its decimation
-// clock) into the reusable scratch — the binary counterpart of
-// encodeSubset's selection half.
+// clock) into the reusable scratch — encodeSubset's selection half.
 func (sub *subscriber) passing(batch []tuple.Tuple) []tuple.Tuple {
 	sub.tmp = sub.tmp[:0]
 	for _, t := range batch {
@@ -196,7 +194,7 @@ type hubState struct {
 	ln  net.Listener
 	acc *glib.IOWatch
 
-	subs map[net.Conn]*subscriber
+	subs map[*subscriber]struct{}
 
 	history    []tuple.Tuple
 	newestMS   int64 // running max of retained-stream timestamps
@@ -216,9 +214,9 @@ type hubState struct {
 	backfill    map[string]*core.TimedHistory
 	backfillRet int
 
-	// shareMemo caches one encoded chunk per filter signature per
+	// shareMemo caches one encoding per filter signature and encoding per
 	// broadcast, so many subscribers with the same filter pay one encode.
-	shareMemo map[string]*memoChunk
+	shareMemo map[memoKey]*memoChunk
 
 	// benc is the shared v3 broadcast encoder: all plain binary
 	// subscribers ride one encoded chunk per batch, sharing one dictionary
@@ -234,9 +232,17 @@ type hubState struct {
 	filtered     int64 // filter/decimation withholdings from departed subscribers
 }
 
-// memoChunk is one memoized filtered encoding of the current batch.
+// memoKey identifies one shared filtered encoding.
+type memoKey struct {
+	filter string
+	enc    encoding
+}
+
+// memoChunk is one memoized filtered encoding of the current batch: a
+// text chunk, or JSON chunks.
 type memoChunk struct {
 	chunk   []byte
+	json    [][]byte
 	matched int
 }
 
@@ -340,7 +346,7 @@ func (s *Server) Params() *core.ParamSet { return s.hub.params }
 
 func (s *Server) hubInit() {
 	if s.hub.subs == nil {
-		s.hub.subs = make(map[net.Conn]*subscriber)
+		s.hub.subs = make(map[*subscriber]struct{})
 	}
 	if !s.hub.windowSet {
 		s.hub.window = DefaultSnapshotWindow
@@ -388,31 +394,37 @@ func (s *Server) register(conn net.Conn, state subState) *subscriber {
 	s.hubInit()
 	sub := &subscriber{conn: conn, state: state}
 	sub.ww = s.loop.WatchWriter(conn, s.hub.queueLimit, func(error) {
-		s.unsubscribe(conn)
+		s.unsubscribe(sub)
 	})
+	sub.out = connSink{sub.ww}
 	sub.rw = s.loop.WatchLines(conn, func(line string, err error) bool {
 		if err != nil {
-			s.unsubscribe(conn)
+			s.unsubscribe(sub)
 			return false
 		}
-		s.subscriberLine(conn, line)
+		s.subscriberLine(sub, line)
 		return true
 	})
-	s.hub.subs[conn] = sub
+	s.hub.subs[sub] = struct{}{}
 	return sub
 }
 
 // subscribeSniff registers an accepted connection in the version-sniffing
-// state: the v1 snapshot is captured now (so a silent client's stream is
+// state: the history view is captured now (so a silent client's stream is
 // exactly what an immediate v1 subscription would have produced), deltas
 // buffer until the protocol is decided, and a grace timer commits silent
-// clients to v1.
-func (s *Server) subscribeSniff(conn net.Conn) {
+// clients to v1. The capture is a capacity-clipped slice, not a copy:
+// retain only appends past the end of history and reslices its front, so
+// the captured elements are never overwritten, and formatting waits for
+// promoteV1 — a v2 client never pays for the v1 snapshot.
+func (s *Server) subscribeSniff(conn net.Conn) *subscriber {
 	sub := s.register(conn, subSniffing)
-	sub.snap = s.snapshotChunk()
+	n := len(s.hub.history)
+	sub.snap = s.hub.history[:n:n]
 	sub.grace = time.AfterFunc(s.hub.grace, func() {
-		s.loop.Invoke(func() { s.promoteV1(conn) })
+		s.loop.Invoke(func() { s.promoteV1(sub) })
 	})
+	return sub
 }
 
 // Subscribe registers conn as a v1 downstream viewer immediately — no
@@ -426,7 +438,7 @@ func (s *Server) Subscribe(conn net.Conn) {
 	sub := s.register(conn, subLive)
 	sub.counted = true
 	s.hub.subscribes++
-	sub.ww.SendProtected(s.snapshotChunk())
+	sub.out.Open(s.v1Open(s.hub.history))
 }
 
 // SubscribeWith registers conn as a v2 subscriber with an explicit
@@ -440,15 +452,14 @@ func (s *Server) SubscribeWith(conn net.Conn, req SubscriptionRequest) error {
 		return err
 	}
 	sub := s.register(conn, subSniffing)
-	s.activateV2(conn, sub, req)
+	s.activateV2(sub, req)
 	return nil
 }
 
 // subscriberLine routes one inbound line according to the connection's
 // handshake state. Runs on the loop goroutine.
-func (s *Server) subscriberLine(conn net.Conn, line string) {
-	sub, ok := s.hub.subs[conn]
-	if !ok {
+func (s *Server) subscriberLine(sub *subscriber, line string) {
+	if _, ok := s.hub.subs[sub]; !ok {
 		return
 	}
 	switch sub.state {
@@ -457,17 +468,17 @@ func (s *Server) subscriberLine(conn net.Conn, line string) {
 		if !isV2 {
 			// Not a v2 handshake: a v1 client that happens to talk.
 			// Commit to v1 now; the line itself is ignored, as always.
-			s.promoteV1(conn)
+			s.promoteV1(sub)
 			return
 		}
 		if err != nil {
 			// A malformed v2 handshake gets an error frame and the v1
 			// stream — the closest thing to the pre-v2 contract.
 			s.sendError(sub, err.Error())
-			s.promoteV1(conn)
+			s.promoteV1(sub)
 			return
 		}
-		s.activateV2(conn, sub, req)
+		s.activateV2(sub, req)
 	case subBackfilling:
 		// Hold commands until the activation frames are queued, so
 		// replies can never overtake (or displace) the handshake —
@@ -490,7 +501,7 @@ func (s *Server) subscriberLine(conn net.Conn, line string) {
 					return
 				}
 				sub.lateUpgrade = true
-				s.activateV2(conn, sub, req)
+				s.activateV2(sub, req)
 			}
 			return
 		}
@@ -501,9 +512,8 @@ func (s *Server) subscriberLine(conn net.Conn, line string) {
 // promoteV1 commits a sniffing connection to the v1 protocol: the
 // accept-time snapshot, then every delta buffered while undecided, then
 // live traffic — byte-identical to a hub that never sniffed.
-func (s *Server) promoteV1(conn net.Conn) {
-	sub, ok := s.hub.subs[conn]
-	if !ok || sub.state != subSniffing {
+func (s *Server) promoteV1(sub *subscriber) {
+	if _, ok := s.hub.subs[sub]; !ok || sub.state != subSniffing {
 		return
 	}
 	if sub.grace != nil {
@@ -512,9 +522,9 @@ func (s *Server) promoteV1(conn net.Conn) {
 	sub.state = subLive
 	sub.counted = true
 	s.hub.subscribes++
-	sub.ww.SendProtected(sub.snap)
+	sub.out.Open(s.v1Open(sub.snap))
 	for _, chunk := range sub.pend {
-		sub.ww.Send(chunk)
+		sub.out.Send(chunk)
 	}
 	sub.snap, sub.pend = nil, nil
 }
@@ -522,15 +532,18 @@ func (s *Server) promoteV1(conn net.Conn) {
 // activateV2 applies an accepted request. Requests needing the flight log
 // park the connection in subBackfilling and finish on the loop when the
 // read completes; everything else activates synchronously.
-func (s *Server) activateV2(conn net.Conn, sub *subscriber, req SubscriptionRequest) {
+func (s *Server) activateV2(sub *subscriber, req SubscriptionRequest) {
 	if sub.grace != nil {
 		sub.grace.Stop()
 	}
 	sub.sub = compileSubscription(req)
 	sub.snap, sub.pend = nil, nil
+	if req.Wire == 3 {
+		sub.enc = encV3
+	}
 
 	if req.Since == 0 || req.NoStream {
-		s.finishV2(conn, sub, 0, nil, "")
+		s.finishV2(sub, 0, nil, "")
 		return
 	}
 	if sub.lateUpgrade {
@@ -540,23 +553,23 @@ func (s *Server) activateV2(conn net.Conn, sub *subscriber, req SubscriptionRequ
 		// upgrades get an empty backfill frame instead — a client that
 		// wants the deep window reconnects, winning the handshake race it
 		// lost.
-		s.finishV2(conn, sub, s.resolveSince(req.Since), nil, "late-upgrade")
+		s.finishV2(sub, s.resolveSince(req.Since), nil, "late-upgrade")
 		return
 	}
 	if req.Since < 0 && !s.hub.newestSet {
 		// A trailing window has no anchor before the first live tuple:
 		// serve it empty rather than letting sinceMS=0 spill an attached
 		// flight log's entire (arbitrarily old) recorded history.
-		s.finishV2(conn, sub, 0, nil, "history")
+		s.finishV2(sub, 0, nil, "history")
 		return
 	}
 	sinceMS := s.resolveSince(req.Since)
 	if req.Cols > 0 && s.hub.backfill != nil {
-		s.finishV2(conn, sub, sinceMS, s.decimatedBackfill(sub.sub.filter, sinceMS, req.Cols), "decimated")
+		s.finishV2(sub, sinceMS, s.decimatedBackfill(sub.sub.filter, sinceMS, req.Cols), "decimated")
 		return
 	}
 	if s.historyCovers(sinceMS) || s.flightDir == "" {
-		s.finishV2(conn, sub, sinceMS, s.historyBackfill(sub.sub.filter, sinceMS), "history")
+		s.finishV2(sub, sinceMS, s.historyBackfill(sub.sub.filter, sinceMS), "history")
 		return
 	}
 	// The window predates the retained history: serve it from the flight
@@ -579,8 +592,7 @@ func (s *Server) activateV2(conn net.Conn, sub *subscriber, req SubscriptionRequ
 		}
 		backfill := readFlightBackfill(dir, sinceMS, cutoffMS, filter)
 		s.loop.Invoke(func() {
-			cur, ok := s.hub.subs[conn]
-			if !ok || cur != sub || sub.state != subBackfilling {
+			if _, ok := s.hub.subs[sub]; !ok || sub.state != subBackfilling {
 				return
 			}
 			if cutoffMS <= 0 && len(sub.pendT) > 0 && len(backfill) > 0 {
@@ -601,7 +613,7 @@ func (s *Server) activateV2(conn net.Conn, sub *subscriber, req SubscriptionRequ
 				}
 				backfill = kept
 			}
-			s.finishV2(conn, sub, sinceMS, backfill, "reclog")
+			s.finishV2(sub, sinceMS, backfill, "reclog")
 		})
 	}()
 }
@@ -609,78 +621,51 @@ func (s *Server) activateV2(conn net.Conn, sub *subscriber, req SubscriptionRequ
 // finishV2 queues the v2 activation frames — ack, then backfill or
 // filtered snapshot — flushes any buffered deltas and held commands, and
 // puts the connection live.
-func (s *Server) finishV2(conn net.Conn, sub *subscriber, sinceMS int64, backfill []tuple.Tuple, source string) {
+func (s *Server) finishV2(sub *subscriber, sinceMS int64, backfill []tuple.Tuple, source string) {
 	sub.state = subLive
 	if !sub.counted {
 		sub.counted = true
 		s.hub.subscribes++
 	}
 	req := sub.sub.req
-	b := tuple.AppendControl(nil, hubMagic, "2", strings.Join(req.fields(), " "))
-	if sub.binary() && !req.NoStream {
+	parts := []Part{{Frame: frame(hubMagic, append([]string{strconv.Itoa(hubVersion2)}, req.fields()...)...)}}
+	if sub.enc == encV3 && !req.NoStream {
 		if sub.sub.plain() {
 			// This connection will share the broadcast encoder's stream:
 			// catch it up on every binding emitted before it joined, so the
 			// next shared chunk's bare IDs resolve (docs/WIRE.md §B3).
-			b = s.hub.benc.AppendDict(b)
+			if dict := s.hub.benc.AppendDict(nil); len(dict) > 0 {
+				parts = append(parts, Part{Tuples: dict})
+			}
 		} else if sub.benc == nil {
 			// A narrowed stream gets its own dictionary.
 			sub.benc = tuple.NewBinaryEncoder()
-		}
-	}
-	// Activation frames (backfill/snapshot/buffered deltas) encode per the
-	// negotiated wire version. The shared-stream case must not mutate the
-	// broadcast dictionary — an ID invented here would reach only this
-	// subscriber — so it encodes read-only, falling back to text lines for
-	// names the broadcast encoder has not bound yet (always legal, §B1).
-	appendTuples := func(dst []byte, ts []tuple.Tuple) []byte {
-		switch {
-		case !sub.binary():
-			return tuple.AppendWireBatch(dst, ts)
-		case sub.benc != nil:
-			return sub.benc.AppendBatch(dst, ts)
-		default:
-			return s.hub.benc.AppendBatchReadOnly(dst, ts)
 		}
 	}
 	switch {
 	case req.NoStream:
 		// Control plane only: no snapshot, no backfill, no deltas.
 	case source != "":
-		b = tuple.AppendControl(b, "backfill",
-			fmt.Sprintf("tuples=%d", len(backfill)),
-			fmt.Sprintf("since-ms=%d", sinceMS),
-			"source="+source)
-		b = appendTuples(b, backfill)
-		b = tuple.AppendControl(b, "backfill-end")
+		parts = section(parts, s.encodeFor(sub, backfill), "backfill",
+			fmt.Sprintf("tuples=%d", len(backfill)), fmt.Sprintf("since-ms=%d", sinceMS), "source="+source)
 	case sub.lateUpgrade:
 		// The connection already received the v1 snapshot before its
 		// handshake won through; re-serving it would duplicate data.
 	default:
 		// The v1 snapshot shape, narrowed to the subscription's signals.
 		snap := s.historyBackfill(sub.sub.filter, 0)
-		b = tuple.AppendControl(b, "snapshot",
-			fmt.Sprintf("tuples=%d", len(snap)),
-			fmt.Sprintf("window-ms=%d", s.hub.window.Milliseconds()))
-		b = appendTuples(b, snap)
-		b = tuple.AppendControl(b, "snapshot-end")
+		parts = s.snapshot(parts, s.encodeFor(sub, snap), len(snap))
 	}
-	sub.ww.SendProtected(b)
+	sub.out.Open(parts)
 	if len(sub.pendT) > 0 && !req.NoStream {
-		var out []byte
+		var kept []tuple.Tuple
 		for _, chunk := range sub.pendT {
-			if sub.binary() {
-				kept := sub.passing(chunk)
-				out = appendTuples(out, kept)
-				sub.filtered += int64(len(chunk) - len(kept))
-			} else {
-				enc, matched := encodeSubset(sub.sub, chunk)
-				out = append(out, enc...)
-				sub.filtered += int64(len(chunk) - matched)
-			}
+			k := sub.passing(chunk)
+			kept = append(kept, k...)
+			sub.filtered += int64(len(chunk) - len(k))
 		}
-		if len(out) > 0 {
-			sub.ww.Send(out)
+		for _, c := range s.encodeFor(sub, kept) {
+			sub.out.Send(c)
 		}
 	}
 	sub.pendT = nil
@@ -688,6 +673,28 @@ func (s *Server) finishV2(conn net.Conn, sub *subscriber, sinceMS int64, backfil
 	sub.pendCmds = nil
 	for _, line := range cmds {
 		s.handleCommand(sub, line)
+	}
+}
+
+// encodeFor encodes activation-time tuples (backfill, snapshot, buffered
+// deltas) in sub's encoding. A subscription sharing the broadcast v3
+// stream must not mutate the broadcast dictionary — an ID invented here
+// would reach only this subscriber — so it encodes read-only, falling
+// back to text lines for names the broadcast encoder has not bound yet
+// (always legal, docs/WIRE.md §B1).
+func (s *Server) encodeFor(sub *subscriber, ts []tuple.Tuple) [][]byte {
+	if len(ts) == 0 {
+		return nil
+	}
+	switch {
+	case sub.enc == encJSON:
+		return appendJSONChunks(nil, ts)
+	case sub.enc == encText:
+		return [][]byte{tuple.AppendWireBatch(nil, ts)}
+	case sub.benc != nil:
+		return [][]byte{sub.benc.AppendBatch(nil, ts)}
+	default:
+		return [][]byte{s.hub.benc.AppendBatchReadOnly(nil, ts)}
 	}
 }
 
@@ -787,19 +794,34 @@ func readFlightBackfill(dir string, sinceMS, cutoffMS int64, f *sigFilter) []tup
 	return out
 }
 
-// snapshotChunk encodes the handshake plus the retained history window as
-// one queue chunk, so drop-oldest can never tear the snapshot apart.
-func (s *Server) snapshotChunk() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s %d\n", hubMagic, hubVersion)
-	fmt.Fprintf(&b, "# snapshot tuples=%d window-ms=%d\n",
-		len(s.hub.history), s.hub.window.Milliseconds())
-	for _, t := range s.hub.history {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
+// v1Open is the v1 opening unit: the handshake plus a history view,
+// queued as one unit so drop-oldest can never tear the snapshot apart.
+func (s *Server) v1Open(hist []tuple.Tuple) []Part {
+	parts := []Part{{Frame: frame(hubMagic, strconv.Itoa(hubVersion))}}
+	return s.snapshot(parts, [][]byte{tuple.AppendWireBatch(nil, hist)}, len(hist))
+}
+
+// snapshot appends a snapshot section of n tuples, already encoded.
+func (s *Server) snapshot(parts []Part, chunks [][]byte, n int) []Part {
+	return section(parts, chunks, "snapshot",
+		fmt.Sprintf("tuples=%d", n), fmt.Sprintf("window-ms=%d", s.hub.window.Milliseconds()))
+}
+
+// section appends an opening-unit section: a header frame, the tuple
+// chunks, and the matching "-end" frame.
+func section(parts []Part, chunks [][]byte, verb string, header ...string) []Part {
+	parts = append(parts, Part{Frame: frame(verb, header...)})
+	for _, c := range chunks {
+		if len(c) > 0 {
+			parts = append(parts, Part{Tuples: c})
+		}
 	}
-	b.WriteString("# snapshot-end\n")
-	return []byte(b.String())
+	return append(parts, Part{Frame: frame(verb + "-end")})
+}
+
+// frame builds a control frame.
+func frame(verb string, fields ...string) tuple.ControlFrame {
+	return tuple.ControlFrame{Verb: verb, Fields: fields}
 }
 
 // encodeSubset encodes the tuples of batch that pass the subscription
@@ -826,12 +848,24 @@ func encodeSubset(sub *subscription, batch []tuple.Tuple) (chunk []byte, matched
 	return out, matched
 }
 
+// encodeFiltered encodes the tuples of batch that pass sub's subscription
+// (advancing its decimation clock) in sub's encoding, text or JSON.
+func encodeFiltered(sub *subscriber, batch []tuple.Tuple) memoChunk {
+	if sub.enc == encJSON {
+		kept := sub.passing(batch)
+		return memoChunk{json: appendJSONChunks(nil, kept), matched: len(kept)}
+	}
+	chunk, matched := encodeSubset(sub.sub, batch)
+	return memoChunk{chunk: chunk, matched: matched}
+}
+
 // broadcastBatch retains a delivered batch in the snapshot history (and
 // the tiered backfill store, when enabled) and fans it out to every
-// subscriber. Unfiltered subscribers share a single wire-encoded chunk per
-// batch — one queue append, no per-tuple work — and filtered subscribers
-// get their own narrowed encoding, shared across subscribers with the same
-// filter. Runs on the loop goroutine as part of delivery.
+// subscriber. Each batch is encoded at most once per filter signature and
+// encoding: unfiltered subscribers share one chunk per batch — one queue
+// append, no per-tuple work — and filtered subscribers share a narrowed
+// encoding with every subscriber of the same filter. Runs on the loop
+// goroutine as part of delivery.
 func (s *Server) broadcastBatch(batch []tuple.Tuple) {
 	if s.hub.subs == nil || len(batch) == 0 {
 		return
@@ -870,8 +904,9 @@ func (s *Server) broadcastBatch(batch []tuple.Tuple) {
 		}
 		return sharedBin
 	}
+	var sharedJSON [][]byte
 	memoCleared := false
-	for _, sub := range s.hub.subs {
+	for sub := range s.hub.subs {
 		switch {
 		case sub.state == subSniffing:
 			sub.bufferChunk(sharedChunk(), s.hub.queueLimit)
@@ -881,48 +916,53 @@ func (s *Server) broadcastBatch(batch []tuple.Tuple) {
 			// Control-plane-only connections never wanted the stream;
 			// counting their withholdings as Filtered would make the
 			// decimation stat lie to operators.
-		case sub.sub == nil || sub.sub.plain():
-			if sub.binary() {
-				sub.ww.Send(sharedBinChunk())
-			} else {
-				sub.ww.Send(sharedChunk())
-			}
-		case sub.binary():
+		case sub.enc == encV3 && sub.sub.plain():
+			sub.out.Send(sharedBinChunk())
+		case sub.enc == encV3:
 			// Filtered/decimated binary subscribers own their encoder (and
-			// its dictionary), so the text share-memo cannot apply.
+			// its dictionary), so the share-memo cannot apply.
 			kept := sub.passing(batch)
 			if len(kept) > 0 {
-				sub.ww.Send(sub.benc.AppendBatch(make([]byte, 0, 8*len(kept)), kept))
+				sub.out.Send(sub.benc.AppendBatch(make([]byte, 0, 8*len(kept)), kept))
 			}
 			sub.filtered += int64(len(batch) - len(kept))
+		case sub.enc == encJSON && sub.sub.plain():
+			if sharedJSON == nil {
+				sharedJSON = appendJSONChunks(nil, batch)
+			}
+			for _, c := range sharedJSON {
+				sub.out.Send(c)
+			}
+		case sub.sub == nil || sub.sub.plain():
+			sub.out.Send(sharedChunk())
 		default:
+			var entry memoChunk
 			if key := sub.sub.shareKey(); key != "" {
 				if !memoCleared {
 					memoCleared = true
 					if s.hub.shareMemo == nil {
-						s.hub.shareMemo = make(map[string]*memoChunk)
+						s.hub.shareMemo = make(map[memoKey]*memoChunk)
 					}
-					for k := range s.hub.shareMemo {
-						delete(s.hub.shareMemo, k)
-					}
+					clear(s.hub.shareMemo)
 				}
-				entry := s.hub.shareMemo[key]
-				if entry == nil {
-					chunk, matched := encodeSubset(sub.sub, batch)
-					entry = &memoChunk{chunk: chunk, matched: matched}
-					s.hub.shareMemo[key] = entry
+				mk := memoKey{filter: key, enc: sub.enc}
+				p := s.hub.shareMemo[mk]
+				if p == nil {
+					p = new(memoChunk)
+					*p = encodeFiltered(sub, batch)
+					s.hub.shareMemo[mk] = p
 				}
-				if len(entry.chunk) > 0 {
-					sub.ww.Send(entry.chunk)
-				}
-				sub.filtered += int64(len(batch) - entry.matched)
-				continue
+				entry = *p
+			} else {
+				entry = encodeFiltered(sub, batch)
 			}
-			chunk, matched := encodeSubset(sub.sub, batch)
-			if len(chunk) > 0 {
-				sub.ww.Send(chunk)
+			if len(entry.chunk) > 0 {
+				sub.out.Send(entry.chunk)
 			}
-			sub.filtered += int64(len(batch) - matched)
+			for _, c := range entry.json {
+				sub.out.Send(c)
+			}
+			sub.filtered += int64(len(batch) - entry.matched)
 		}
 	}
 }
@@ -1010,7 +1050,7 @@ func (s *Server) InjectBatch(batch []tuple.Tuple) {
 
 // sendError queues an error frame on a subscriber's stream.
 func (s *Server) sendError(sub *subscriber, msg string) {
-	sub.ww.Send(tuple.AppendControl(nil, "error", strings.ReplaceAll(msg, "\n", " ")))
+	sub.out.Control(frame("error", strings.Fields(msg)...))
 }
 
 // handleCommand runs one inbound v2 command line. Runs on the loop.
@@ -1032,12 +1072,12 @@ func (s *Server) handleCommand(sub *subscriber, line string) {
 // paramFrame renders one parameter as a reply/list frame. Parameters whose
 // names contain whitespace cannot cross the space-delimited framing and
 // are not addressable over the wire.
-func paramFrame(dst []byte, in core.ParamInfo) []byte {
+func paramFrame(in core.ParamInfo) tuple.ControlFrame {
 	mode := "rw"
 	if in.ReadOnly {
 		mode = "ro"
 	}
-	return tuple.AppendControl(dst, "param", in.Name,
+	return frame("param", in.Name,
 		tuple.FormatValue(in.Value),
 		"min="+tuple.FormatValue(in.Min),
 		"max="+tuple.FormatValue(in.Max),
@@ -1060,15 +1100,14 @@ func (s *Server) handleParamCommand(sub *subscriber, args []string) {
 	switch args[0] {
 	case "list":
 		infos := ps.Infos()
-		b := tuple.AppendControl(nil, "params", fmt.Sprintf("n=%d", len(infos)))
+		frames := []tuple.ControlFrame{frame("params", fmt.Sprintf("n=%d", len(infos)))}
 		for _, in := range infos {
 			if strings.ContainsAny(in.Name, " \t") {
 				continue // unaddressable over the space-delimited framing
 			}
-			b = paramFrame(b, in)
+			frames = append(frames, paramFrame(in))
 		}
-		b = tuple.AppendControl(b, "params-end")
-		sub.ww.Send(b)
+		sub.out.Control(append(frames, frame("params-end"))...)
 	case "get":
 		if len(args) != 2 {
 			s.sendError(sub, "param get: need exactly one name")
@@ -1079,7 +1118,7 @@ func (s *Server) handleParamCommand(sub *subscriber, args []string) {
 			s.sendError(sub, err.Error())
 			return
 		}
-		sub.ww.Send(paramFrame(nil, in))
+		sub.out.Control(paramFrame(in))
 	case "set":
 		if len(args) != 3 {
 			s.sendError(sub, "param set: need a name and a value")
@@ -1102,7 +1141,7 @@ func (s *Server) handleParamCommand(sub *subscriber, args []string) {
 			s.sendError(sub, err.Error())
 			return
 		}
-		sub.ww.Send(tuple.AppendControl(nil, "param-ok", args[1], tuple.FormatValue(actual)))
+		sub.out.Control(frame("param-ok", args[1], tuple.FormatValue(actual)))
 	default:
 		s.sendError(sub, "param: unknown subcommand "+args[0])
 	}
@@ -1114,44 +1153,50 @@ func (s *Server) broadcastParamChange(name string, v float64) {
 	if strings.ContainsAny(name, " \t") {
 		return
 	}
-	var frame []byte
-	for _, sub := range s.hub.subs {
-		if sub.state != subLive || sub.sub == nil {
-			continue
+	f := frame("param", name, tuple.FormatValue(v))
+	for sub := range s.hub.subs {
+		if sub.state == subLive && sub.sub != nil {
+			sub.out.Control(f)
 		}
-		if frame == nil {
-			frame = tuple.AppendControl(nil, "param", name, tuple.FormatValue(v))
-		}
-		sub.ww.Send(frame)
 	}
 }
 
 // --- Teardown and stats ----------------------------------------------------
 
-func (s *Server) unsubscribe(conn net.Conn) {
-	sub, ok := s.hub.subs[conn]
-	if !ok {
+func (s *Server) unsubscribe(sub *subscriber) {
+	if _, ok := s.hub.subs[sub]; !ok {
 		return
 	}
-	delete(s.hub.subs, conn)
+	delete(s.hub.subs, sub)
 	if sub.grace != nil {
 		sub.grace.Stop()
 	}
 	if sub.counted {
 		s.hub.unsubscribes++
 	}
-	s.hub.dropped += sub.ww.Dropped() + sub.pendDrop
+	s.hub.dropped += sub.dropped()
 	s.hub.filtered += sub.filtered
-	sub.ww.Cancel()
-	sub.rw.Cancel()
-	conn.Close()
+	if sub.conn != nil {
+		sub.ww.Cancel()
+		sub.rw.Cancel()
+		sub.conn.Close()
+	}
+}
+
+// dropped counts the chunks the hub lost for sub; an in-process sink
+// accounts for its own queue.
+func (sub *subscriber) dropped() int64 {
+	if sub.ww == nil {
+		return sub.pendDrop
+	}
+	return sub.pendDrop + sub.ww.Dropped()
 }
 
 // Subscribers returns the number of connected viewers whose handshake has
 // completed (sniffing and backfilling connections are still in flight).
 func (s *Server) Subscribers() int {
 	n := 0
-	for _, sub := range s.hub.subs {
+	for sub := range s.hub.subs {
 		if sub.state == subLive {
 			n++
 		}
@@ -1181,8 +1226,8 @@ func (s *Server) FanoutStats() FanoutStats {
 		Dropped:      s.hub.dropped,
 		Filtered:     s.hub.filtered,
 	}
-	for _, sub := range s.hub.subs {
-		st.Dropped += sub.ww.Dropped() + sub.pendDrop
+	for sub := range s.hub.subs {
+		st.Dropped += sub.dropped()
 		st.Filtered += sub.filtered
 	}
 	if s.udpRecv != nil {
@@ -1201,23 +1246,29 @@ func (s *Server) FanoutStats() FanoutStats {
 }
 
 // SubscriberBacklog returns the total number of chunks queued but not yet
-// taken by the subscribers' writers. Note a taken batch may still be in
+// taken by the TCP subscribers' writers, plus deltas buffered for any
+// subscriber still mid-handshake. Note a taken batch may still be in
 // flight on the socket; SubscriberWritten counts completed writes.
 func (s *Server) SubscriberBacklog() int {
 	n := 0
-	for _, sub := range s.hub.subs {
-		n += sub.ww.Queued() + len(sub.pend)
+	for sub := range s.hub.subs {
+		n += len(sub.pend) + len(sub.pendT)
+		if sub.ww != nil {
+			n += sub.ww.Queued()
+		}
 	}
 	return n
 }
 
 // SubscriberWritten returns the total number of chunks (the handshake plus
-// one per delivered batch) fully written to current subscribers'
+// one per delivered batch) fully written to current TCP subscribers'
 // connections.
 func (s *Server) SubscriberWritten() int64 {
 	var n int64
-	for _, sub := range s.hub.subs {
-		n += sub.ww.Sent()
+	for sub := range s.hub.subs {
+		if sub.ww != nil {
+			n += sub.ww.Sent()
+		}
 	}
 	return n
 }
@@ -1225,10 +1276,11 @@ func (s *Server) SubscriberWritten() int64 {
 // SubscribersFlushed reports whether every currently connected subscriber
 // has either written or dropped every byte queued to it — the barrier
 // benches and tests use to know the fan-out has fully drained. A
-// connection still mid-handshake with buffered deltas is not flushed.
+// connection still mid-handshake with buffered deltas is not flushed. An
+// in-process sink counts as flushed once the hub has handed it everything.
 func (s *Server) SubscribersFlushed() bool {
-	for _, sub := range s.hub.subs {
-		if !sub.ww.Flushed() {
+	for sub := range s.hub.subs {
+		if sub.ww != nil && !sub.ww.Flushed() {
 			return false
 		}
 		if sub.state != subLive && (len(sub.pend) > 0 || len(sub.pendT) > 0) {
@@ -1247,8 +1299,8 @@ func (s *Server) closeHub() error {
 	if s.hub.ln != nil {
 		err = s.hub.ln.Close()
 	}
-	for conn := range s.hub.subs {
-		s.unsubscribe(conn)
+	for sub := range s.hub.subs {
+		s.unsubscribe(sub)
 	}
 	if s.hub.paramsUnobserve != nil {
 		s.hub.paramsUnobserve()

@@ -171,7 +171,6 @@ type Server struct {
 	// display delay. The recorder always stores the original stamps.
 	MapTime func(time.Duration) time.Duration
 
-	rec       *tuple.Writer
 	flight    *reclog.Log
 	flightDir string        // the recording directory, for v2 backfill reads
 	mapped    []tuple.Tuple // MapTime rebase scratch, reused across batches
@@ -245,10 +244,6 @@ func (s *Server) canonicalizeNames(batch []tuple.Tuple) {
 // Attach adds a scope whose feed will receive every tuple. BUFFER signals
 // on the scope pick out the names they display.
 func (s *Server) Attach(sc *core.Scope) { s.scopes = append(s.scopes, sc) }
-
-// SetRecorder mirrors every received tuple to w (the server-side recording
-// path); nil disables.
-func (s *Server) SetRecorder(w *tuple.Writer) { s.rec = w }
 
 // Record attaches a flight recorder: every delivered batch is appended to
 // a segmented reclog session under dir (see package repro/internal/reclog
@@ -350,9 +345,9 @@ func (s *Server) deliver(t tuple.Tuple) {
 }
 
 // deliverBatch runs the full delivery pipeline for a decoded batch:
-// observers and the recorder see every tuple, attached scopes ingest the
-// batch through their sharded feeds in one call, and the hub broadcasts it
-// to subscribers as one chunk. MapTime rebasing applies only to scope
+// observers and the flight recorder see every tuple, attached scopes
+// ingest the batch through their sharded feeds in one call, and the hub
+// broadcasts it to subscribers as one chunk. MapTime rebasing applies only to scope
 // delivery — the recorder and the relay stream keep the original stamps.
 func (s *Server) deliverBatch(batch []tuple.Tuple) {
 	if len(batch) == 0 {
@@ -362,11 +357,6 @@ func (s *Server) deliverBatch(batch []tuple.Tuple) {
 	if s.OnTuple != nil {
 		for _, t := range batch {
 			s.OnTuple(t)
-		}
-	}
-	if s.rec != nil {
-		for _, t := range batch {
-			s.rec.Write(t) //nolint:errcheck // recorder errors surface on Flush
 		}
 	}
 	if s.flight != nil {
@@ -402,7 +392,8 @@ func (s *Server) Stats() (connects, disconnects, received, parseErrors int64) {
 // Clients returns the number of currently connected clients.
 func (s *Server) Clients() int { return len(s.clients) }
 
-// Close stops accepting, disconnects all clients and flushes the recorder.
+// Close stops accepting, disconnects all clients and closes the flight
+// recorder.
 func (s *Server) Close() error {
 	if s.closed {
 		return nil
@@ -422,7 +413,7 @@ func (s *Server) Close() error {
 	}
 	// The web gateway goes down before the hub: closeWeb waits for every
 	// in-flight SSE/WebSocket handler to exit, and those handlers hold
-	// piped hub subscriptions that closeHub is about to tear out.
+	// sink subscriptions that closeHub is about to tear out.
 	if werr := s.closeWeb(); err == nil {
 		err = werr
 	}
@@ -433,11 +424,6 @@ func (s *Server) Close() error {
 	}
 	if herr := s.closeHub(); err == nil {
 		err = herr
-	}
-	if s.rec != nil {
-		if ferr := s.rec.Flush(); err == nil {
-			err = ferr
-		}
 	}
 	if s.flight != nil {
 		if ferr := s.flight.Close(); err == nil {

@@ -49,14 +49,6 @@ func (s *Server) ListenWeb(addr string, h WebHandler) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// WebAddr returns the bound web listener address, nil without ListenWeb.
-func (s *Server) WebAddr() net.Addr {
-	if s.webLn == nil {
-		return nil
-	}
-	return s.webLn.Addr()
-}
-
 // closeWeb tears down the web lane: the gateway first (so in-flight
 // SSE/WebSocket writers observe shutdown and their goroutines exit —
 // hijacked connections are invisible to http.Server and only the gateway

@@ -2,28 +2,29 @@ package webscope
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"net"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/netscope"
 	"repro/internal/tuple"
 )
 
-// The live-stream lanes. Each browser client becomes a real v2
-// subscriber: the gateway makes a net.Pipe, hands the hub one end via
-// Server.SubscribeWith (on the loop goroutine), and pumps the other end
-// — so filtering, decimation, snapshot/backfill and the
-// shared-encoding-per-filter-signature fan-out are all the hub's
-// existing machinery. On the browser side every client gets a bounded
-// drop-oldest eventQueue and a writer goroutine, mirroring the TCP
-// path's WriteWatch discipline: a stalled tab drops its own oldest
-// events and never blocks the hub or anyone else.
+// The live-stream lanes. Each browser client is the netscope.Sink of an
+// in-process hub subscription (Server.SubscribeSink): filtering,
+// decimation, snapshot/backfill and one encoding per filter signature are
+// the hub's own machinery, and the hub pushes finished JSON (or v3)
+// chunks and control frames into the client's bounded drop-oldest
+// eventQueue on its loop goroutine. The handler goroutine frames and
+// writes — a stalled tab drops its own oldest events and never blocks the
+// hub or anyone else. A stream costs that queue, its writer and, for
+// WebSocket, a frame reader.
 //
 // Stream events (SSE `event:`/`data:` pairs; WebSocket text messages
 // `{"event":E,"data":D}`):
@@ -34,9 +35,10 @@ import (
 //	control {"verb":V,"fields":[...]}        any other hub control frame
 //	error   {"error":MSG}                    hub-reported error
 //
-// format=binary (WebSocket only) replaces all of the above after hello
-// with binary messages carrying the hub's v3 frame stream verbatim —
-// zero re-encode, message boundaries are not frame boundaries, decode
+// A batch payload holds at most 32 KiB plus one tuple; larger batches
+// arrive as consecutive batch events. format=binary (WebSocket only)
+// replaces all of the above after hello with binary messages carrying the
+// hub's v3 frame stream, control frames as their '#' text lines — decode
 // with tuple.StreamDecoder semantics (docs/WIRE.md).
 
 var (
@@ -45,107 +47,197 @@ var (
 	errPeerClosed     = errors.New("webscope: peer sent close")
 )
 
-// writeTimeout bounds one browser write; a tab stalled longer than this
-// is disconnected (and Gateway.Close is never stuck behind it for more
-// than one timeout).
-const writeTimeout = 10 * time.Second
+const (
+	// writeTimeout bounds one browser write; a tab stalled longer than
+	// this is disconnected (and Gateway.Close is never stuck behind it
+	// for more than one timeout).
+	writeTimeout = 10 * time.Second
+	// maxWrite bounds one coalesced browser write; the writer's framing
+	// buffer stays near it, and one that a huge event grew past four
+	// times that is dropped after use.
+	maxWrite = 64 << 10
+)
 
-// stream is one live SSE or WebSocket client.
+// stream is one live SSE or WebSocket client: the sink of a hub
+// subscription.
 type stream struct {
-	g    *Gateway
-	q    *eventQueue
-	pipe net.Conn // gateway end; the hub owns the other end
-	// frame renders one event in the lane's framing into dst.
+	g      *Gateway
+	q      *eventQueue
+	h      *netscope.SinkSubscription
+	binary bool // the WebSocket v3 lane
+	// frame renders one JSON event in the lane's framing into dst.
 	frame func(dst []byte, event string, data []byte) []byte
-	// conn is the hijacked WebSocket connection (nil for SSE).
-	conn net.Conn
-
-	slots int // WaitGroup reservations made in addStream
-	once  sync.Once
-	done  chan struct{}
+	// scratch is the writer's event-payload buffer.
+	scratch []byte
+	// conn is the hijacked WebSocket connection once the handshake is
+	// done; shutdown closes it so a write stalled on a dead tab fails now.
+	conn atomic.Pointer[net.Conn]
 }
 
-// shutdown tears the stream down from any goroutine, idempotently:
-// closing the pipe unblocks the pump and makes the hub unsubscribe;
-// closing the queue unblocks the writer; closing conn unblocks a
-// WebSocket reader or a stuck write.
-func (st *stream) shutdown() {
-	st.once.Do(func() {
-		close(st.done)
-		st.pipe.Close()
-		st.q.close()
-		if st.conn != nil {
-			st.conn.Close()
-		}
-	})
-}
-
-// openStream registers a stream client and subscribes its pipe to the
-// hub. goroutines is how many stream goroutines the caller will run
-// (each must defer st.exit). On error nothing is registered.
-func (g *Gateway) openStream(req netscope.SubscriptionRequest, goroutines int) (*stream, error) {
-	st := &stream{
-		g:     g,
-		q:     newEventQueue(g.opts.QueueLimit),
-		done:  make(chan struct{}),
-		slots: goroutines,
-	}
-	ours, theirs := net.Pipe()
-	st.pipe = ours
+// openStream registers a stream client framing JSON events with frame,
+// queues its hello and subscribes it to the hub. goroutines is how many
+// stream goroutines the caller will run (each must call g.wg.Done). On
+// error nothing is registered.
+func (g *Gateway) openStream(req netscope.SubscriptionRequest, format string, frame func([]byte, string, []byte) []byte, goroutines int) (*stream, error) {
+	st := &stream{g: g, q: newEventQueue(g.opts.QueueLimit), binary: format == "binary", frame: frame}
 	if err := g.addStream(st, goroutines); err != nil {
-		ours.Close()
-		theirs.Close()
 		return nil, err
 	}
+	st.push(event{kind: evRaw, data: frame(nil, "hello", helloData(nil, req, format)), protected: true})
 	var serr error
-	if !g.invoke(func() { serr = g.srv.SubscribeWith(theirs, req) }) {
+	if !g.invoke(func() { st.h, serr = g.srv.SubscribeSink(st, req) }) {
 		serr = errShutdown
 	}
 	if serr != nil {
+		st.q.close()
 		g.dropStream(st)
 		g.wg.Add(-goroutines)
-		ours.Close()
-		theirs.Close()
 		return nil, serr
 	}
 	g.web.StreamOpen()
 	return st, nil
 }
 
-// exit is every stream goroutine's deferred bookkeeping.
-func (st *stream) exit() {
-	st.g.wg.Done()
+// shutdown ends the stream from any goroutine, idempotently: closing the
+// queue wakes an idle writer, closing a WebSocket connection fails a
+// stalled write.
+func (st *stream) shutdown() {
+	st.q.close()
+	if c := st.conn.Load(); c != nil {
+		(*c).Close()
+	}
 }
 
-// release finishes a stream: final drop accounting, registry removal.
-// Called once, by the handler goroutine, after shutdown.
+// release finishes a stream: it ends the hub subscription and leaves the
+// registry. Called once, by the handler goroutine, after its writer
+// returned.
 func (st *stream) release() {
-	st.g.web.AddDropped(st.q.drops())
+	st.shutdown()
+	select {
+	case <-st.g.stop:
+		// The loop may be gone; Server.Close drops the subscription.
+	default:
+		st.g.srv.Loop().Invoke(st.h.Cancel)
+	}
 	st.g.web.StreamClose()
 	st.g.dropStream(st)
 }
 
-// emit frames one event and queues it; dropped events are recycled and
-// accounted.
-func (st *stream) emit(event string, data []byte) {
-	buf := st.g.getBuf()
-	buf = st.frame(buf, event, data)
-	st.recycle(st.q.push(buf))
+// push queues one event, counting what drop-oldest discards — the only
+// place a web event is ever dropped, so WebDropped counts each drop once.
+func (st *stream) push(ev event) {
+	if n := st.q.push(ev); n > 0 {
+		st.g.web.AddDropped(int64(n))
+	}
 }
 
-// emitRaw queues an already-framed buffer (binary lane, control frames).
-func (st *stream) emitRaw(buf []byte, protected bool) {
-	if protected {
-		st.recycle(st.q.pushProtected(buf))
-		return
+// Open, Send and Control make the stream a netscope.Sink; the hub calls
+// them on its loop goroutine.
+
+// Open queues the subscription's opening unit, exempt from drop-oldest.
+func (st *stream) Open(parts []netscope.Part) {
+	for _, p := range parts {
+		if p.Tuples != nil {
+			st.push(event{kind: evTuples, data: p.Tuples, protected: true})
+		} else {
+			st.push(event{kind: evControl, frame: p.Frame, protected: true})
+		}
 	}
-	st.recycle(st.q.push(buf))
 }
 
-func (st *stream) recycle(dropped [][]byte) {
-	for _, d := range dropped {
-		st.g.putBuf(d)
+// Send queues one chunk of tuples.
+func (st *stream) Send(chunk []byte) { st.push(event{kind: evTuples, data: chunk}) }
+
+// Control queues control frames.
+func (st *stream) Control(frames ...tuple.ControlFrame) {
+	for _, f := range frames {
+		st.push(event{kind: evControl, frame: f})
 	}
+}
+
+// writeLoop frames and writes queued events until the queue closes or a
+// write fails; events queued together go out in writes of about maxWrite
+// bytes. Runs on the handler goroutine.
+func (st *stream) writeLoop(write func([]byte) error) {
+	var evs []event
+	var buf []byte
+	for {
+		var ok bool
+		if evs, ok = st.q.take(evs[:0]); !ok {
+			return
+		}
+		for i := range evs {
+			buf = st.appendEvent(buf, evs[i])
+			evs[i] = event{} // release the hub's chunk
+			if len(buf) < maxWrite && i < len(evs)-1 {
+				continue
+			}
+			err := write(buf)
+			st.g.web.AddBytes(int64(len(buf)))
+			if err != nil {
+				st.shutdown()
+				return
+			}
+			if buf = buf[:0]; cap(buf) > 4*maxWrite {
+				buf = nil
+			}
+		}
+	}
+}
+
+// appendEvent frames one event for the stream's lane.
+func (st *stream) appendEvent(dst []byte, ev event) []byte {
+	switch {
+	case ev.kind == evRaw:
+		return append(dst, ev.data...)
+	case st.binary && ev.kind == evControl:
+		// Control frames keep their text form inside the v3 stream.
+		st.scratch = tuple.AppendControl(st.scratch[:0], ev.frame.Verb, ev.frame.Fields...)
+		return appendWSFrame(dst, opBinary, st.scratch)
+	case st.binary:
+		return appendWSFrame(dst, opBinary, ev.data)
+	case ev.kind == evTuples:
+		return st.frame(dst, "batch", ev.data)
+	}
+	var name string
+	name, st.scratch = controlEvent(st.scratch[:0], ev.frame)
+	if name == "" {
+		return dst
+	}
+	return st.frame(dst, name, st.scratch)
+}
+
+// controlEvent renders a hub control frame as a JSON event payload into
+// dst: param notifications and replies become param events, error frames
+// error events, anything else a generic control event. An unrenderable
+// param frame yields name "".
+func controlEvent(dst []byte, f tuple.ControlFrame) (name string, data []byte) {
+	switch f.Verb {
+	case "param", "param-ok":
+		v, err := strconv.ParseFloat(f.Arg(1), 64)
+		if err != nil {
+			return "", dst
+		}
+		dst = append(dst, `{"name":`...)
+		dst = tuple.AppendJSONString(dst, f.Arg(0))
+		dst = append(dst, `,"value":`...)
+		dst = tuple.AppendJSONValue(dst, v)
+		return "param", append(dst, '}')
+	case "error":
+		dst = append(dst, `{"error":`...)
+		dst = tuple.AppendJSONString(dst, strings.Join(f.Fields, " "))
+		return "error", append(dst, '}')
+	}
+	dst = append(dst, `{"verb":`...)
+	dst = tuple.AppendJSONString(dst, f.Verb)
+	dst = append(dst, `,"fields":[`...)
+	for i, fld := range f.Fields {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = tuple.AppendJSONString(dst, fld)
+	}
+	return "control", append(dst, `]}`...)
 }
 
 // --- Query-parameter mapping ------------------------------------------------
@@ -238,113 +330,6 @@ func helloData(dst []byte, req netscope.SubscriptionRequest, format string) []by
 	return append(dst, '}')
 }
 
-// --- The JSON pump -----------------------------------------------------------
-
-// pumpJSON decodes the hub's stream (text lines and/or v3 binary
-// frames) and re-emits it as JSON events until the pipe closes. Runs on
-// the handler goroutine; per-iteration state lives in reused buffers so
-// the steady-state cost is the JSON encode itself.
-func (st *stream) pumpJSON() {
-	dec := tuple.NewStreamDecoder()
-	rbuf := make([]byte, 32*1024)
-	var batch []tuple.Tuple
-	var data []byte
-	appendTuples := func(b []tuple.Tuple) { batch = append(batch, b...) }
-	handleLine := func(line string) { batch = st.controlLine(line, batch, &data) }
-	for {
-		n, rerr := st.pipe.Read(rbuf)
-		if n > 0 {
-			batch = batch[:0]
-			ferr := dec.Feed(rbuf[:n], handleLine, appendTuples)
-			if len(batch) > 0 {
-				data = tuple.AppendJSONBatch(data[:0], batch)
-				st.emit("batch", data)
-			}
-			if ferr != nil {
-				data = append(data[:0], `{"error":"undecodable hub stream"}`...)
-				st.emit("error", data)
-				return
-			}
-		}
-		if rerr != nil {
-			return
-		}
-	}
-}
-
-// controlLine routes one hub line: tuples accumulate into batch, control
-// frames become their own events (flushing batched tuples first so
-// ordering survives). scratch is the caller's encode buffer.
-func (st *stream) controlLine(line string, batch []tuple.Tuple, scratch *[]byte) []tuple.Tuple {
-	if !tuple.IsComment(line) {
-		t, err := tuple.Parse(line)
-		if err == nil {
-			return append(batch, t)
-		}
-		return batch
-	}
-	cf, ok := tuple.ParseControl(line)
-	if !ok {
-		return batch
-	}
-	if len(batch) > 0 {
-		*scratch = tuple.AppendJSONBatch((*scratch)[:0], batch)
-		st.emit("batch", *scratch)
-		batch = batch[:0]
-	}
-	data := (*scratch)[:0]
-	switch cf.Verb {
-	case "param", "param-ok":
-		v, err := strconv.ParseFloat(cf.Arg(1), 64)
-		if err != nil {
-			return batch
-		}
-		data = append(data, `{"name":`...)
-		data = tuple.AppendJSONString(data, cf.Arg(0))
-		data = append(data, `,"value":`...)
-		data = tuple.AppendJSONValue(data, v)
-		data = append(data, '}')
-		st.emit("param", data)
-	case "error":
-		data = append(data, `{"error":`...)
-		data = tuple.AppendJSONString(data, strings.Join(cf.Fields, " "))
-		data = append(data, '}')
-		st.emit("error", data)
-	default:
-		data = append(data, `{"verb":`...)
-		data = tuple.AppendJSONString(data, cf.Verb)
-		data = append(data, `,"fields":[`...)
-		for i, f := range cf.Fields {
-			if i > 0 {
-				data = append(data, ',')
-			}
-			data = tuple.AppendJSONString(data, f)
-		}
-		data = append(data, `]}`...)
-		st.emit("control", data)
-	}
-	*scratch = data
-	return batch
-}
-
-// pumpBinary relays the hub's raw v3 byte stream as WebSocket binary
-// messages — no decode, no re-encode; the per-client cost is one copy
-// into the queue buffer plus the 2–10 byte frame header.
-func (st *stream) pumpBinary() {
-	rbuf := make([]byte, 32*1024)
-	for {
-		n, rerr := st.pipe.Read(rbuf)
-		if n > 0 {
-			buf := st.g.getBuf()
-			buf = appendWSFrame(buf, opBinary, rbuf[:n])
-			st.emitRaw(buf, false)
-		}
-		if rerr != nil {
-			return
-		}
-	}
-}
-
 // --- SSE ---------------------------------------------------------------------
 
 // appendSSEEvent renders one Server-Sent Event. data must be
@@ -374,60 +359,29 @@ func (g *Gateway) handleSSE(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "SSE supports format=json only (binary needs /v1/ws)")
 		return
 	}
-	rc := http.NewResponseController(w)
-	st, err := g.openStream(req, 3) // handler pump, writer, context watcher
+	st, err := g.openStream(req, format, appendSSEEvent, 1) // this goroutine writes
 	if err != nil {
 		httpError(w, streamErrCode(err), err.Error())
 		return
 	}
-	defer st.exit()
-	st.frame = appendSSEEvent
+	defer g.wg.Done()
+	// A browser disconnect must end the stream even while the hub is idle
+	// and no write would fail.
+	defer context.AfterFunc(r.Context(), st.shutdown)()
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-
-	writerDone := make(chan struct{})
-	go func() {
-		defer st.exit()
-		defer close(writerDone)
-		for {
-			buf, ok := st.q.pop()
-			if !ok {
-				return
-			}
-			rc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // unsupported writers just lack the stall bound
-			_, werr := w.Write(buf)
-			if werr == nil {
-				werr = rc.Flush()
-			}
-			g.web.AddBytes(int64(len(buf)))
-			g.putBuf(buf)
-			if werr != nil {
-				st.shutdown()
-				return
-			}
+	rc := http.NewResponseController(w)
+	st.writeLoop(func(b []byte) error {
+		rc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // unsupported writers just lack the stall bound
+		if _, err := w.Write(b); err != nil {
+			return err
 		}
-	}()
-	// The context watcher turns a browser disconnect into a shutdown even
-	// when the hub is idle (no event write would ever fail).
-	go func() {
-		defer st.exit()
-		select {
-		case <-r.Context().Done():
-			st.shutdown()
-		case <-st.done:
-		}
-	}()
-
-	data := helloData(g.getBuf(), req, format)
-	st.emit("hello", data)
-	g.putBuf(data)
-	st.pumpJSON()
-	st.shutdown()
-	<-writerDone
+		return rc.Flush()
+	})
 	st.release()
 }
 
@@ -450,7 +404,7 @@ func appendWSJSONEvent(dst []byte, event string, data []byte) []byte {
 // handleWS serves GET /v1/ws: the WebSocket lane. Text messages carry
 // the same events as SSE; with format=binary the payload is the hub's
 // v3 byte stream. Inbound text messages are v2 command lines ("param
-// set delay-ms 80") forwarded to the hub verbatim; replies come back as
+// set delay-ms 80") run by the hub on its loop; replies come back as
 // param/error events.
 func (g *Gateway) handleWS(w http.ResponseWriter, r *http.Request) {
 	req, format, err := streamRequest(r.URL.Query())
@@ -465,101 +419,64 @@ func (g *Gateway) handleWS(w http.ResponseWriter, r *http.Request) {
 	if format == "binary" {
 		req.Wire = 3
 	}
-	st, err := g.openStream(req, 3) // handler pump, writer, frame reader
+	st, err := g.openStream(req, format, appendWSJSONEvent, 2) // this goroutine writes, one reads frames
 	if err != nil {
 		httpError(w, streamErrCode(err), err.Error())
 		return
 	}
-	defer st.exit()
+	defer g.wg.Done()
 	conn, br, err := wsAccept(w, r)
 	if err != nil {
 		// wsAccept already wrote the HTTP error (or the conn died).
-		st.shutdown()
-		g.wg.Add(-2) // writer and reader were never started
+		g.wg.Done() // the frame reader never starts
 		st.release()
 		return
 	}
-	st.conn = conn
-	st.frame = appendWSJSONEvent
-
-	writerDone := make(chan struct{})
+	st.conn.Store(&conn)
 	go func() {
-		defer st.exit()
-		defer close(writerDone)
-		for {
-			buf, ok := st.q.pop()
-			if !ok {
-				return
-			}
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // net.Conn deadline
-			_, werr := conn.Write(buf)
-			g.web.AddBytes(int64(len(buf)))
-			g.putBuf(buf)
-			if werr != nil {
-				st.shutdown()
-				return
-			}
-		}
-	}()
-	go func() {
-		defer st.exit()
+		defer g.wg.Done()
 		st.readFrames(br)
 		// The peer closed (or broke protocol): the close echo is already
-		// queued. Stop the hub feed, then let the writer drain it before
-		// the handler tears the connection down.
-		st.pipe.Close()
+		// queued. Refuse further events and let the writer drain it
+		// before the connection drops. Gateway.Close preempts the drain
+		// by closing the queue outright.
 		st.q.finish()
 	}()
-
-	data := helloData(g.getBuf(), req, format)
-	st.emit("hello", data)
-	g.putBuf(data)
-	if format == "binary" {
-		st.pumpBinary()
-	} else {
-		st.pumpJSON()
-	}
-	// Drain-close: anything queued (in particular a close echo) reaches
-	// the wire before the connection drops. Gateway.Close preempts the
-	// drain by closing the queue outright.
-	st.q.finish()
-	<-writerDone
-	st.shutdown()
+	st.writeLoop(func(b []byte) error {
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // net.Conn deadline
+		_, err := conn.Write(b)
+		return err
+	})
+	conn.Close() // unblocks the frame reader
 	st.release()
 }
 
 // readFrames is the WebSocket inbound loop: answers pings, honors close,
-// and forwards text messages to the hub as command lines.
+// and hands text messages to the hub as command lines.
 func (st *stream) readFrames(br *bufio.Reader) {
 	ctrl := func(op byte, payload []byte) error {
 		switch op {
 		case opPing:
-			buf := st.g.getBuf()
-			buf = appendWSFrame(buf, opPong, payload)
-			st.emitRaw(buf, true)
+			st.push(event{kind: evRaw, data: appendWSFrame(nil, opPong, payload), protected: true})
 		case opClose:
-			buf := st.g.getBuf()
 			code := closeNormal
 			if len(payload) >= 2 {
 				code = int(payload[0])<<8 | int(payload[1])
 			}
-			buf = appendWSClose(buf, code, "")
-			st.emitRaw(buf, true)
+			st.push(event{kind: evRaw, data: appendWSClose(nil, code, ""), protected: true})
 			return errPeerClosed
 		}
 		return nil
 	}
 	for {
-		op, msg, err := st.readOneMessage(br, ctrl)
+		op, msg, err := readWSMessage(br, true, ctrl)
 		if err != nil {
 			if errors.Is(err, errWSProtocol) || errors.Is(err, errWSTooBig) {
-				buf := st.g.getBuf()
 				code := closeProtocolError
 				if errors.Is(err, errWSTooBig) {
 					code = closeTooBig
 				}
-				buf = appendWSClose(buf, code, "")
-				st.emitRaw(buf, true)
+				st.push(event{kind: evRaw, data: appendWSClose(nil, code, ""), protected: true})
 			}
 			return
 		}
@@ -570,27 +487,18 @@ func (st *stream) readFrames(br *bufio.Reader) {
 		if line == "" || strings.ContainsAny(line, "\n\r") {
 			continue
 		}
-		// Forward to the hub's command plane; the reply comes back down
-		// the stream as a param/error event.
-		st.pipe.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck // net.Pipe supports deadlines
-		if _, err := st.pipe.Write(append([]byte(line), '\n')); err != nil {
+		// The hub's command plane; the reply comes back down the stream
+		// as a param/error event.
+		if !st.g.invoke(func() { st.h.Command(line) }) {
 			return
 		}
 	}
 }
 
-func (st *stream) readOneMessage(br *bufio.Reader, ctrl func(byte, []byte) error) (byte, []byte, error) {
-	return readWSMessage(br, true, ctrl)
-}
-
 // streamErrCode maps openStream failures onto HTTP statuses.
 func streamErrCode(err error) int {
-	switch {
-	case errors.Is(err, errTooManyClients):
+	if errors.Is(err, errTooManyClients) || errors.Is(err, errShutdown) {
 		return http.StatusServiceUnavailable
-	case errors.Is(err, errShutdown):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
 	}
+	return http.StatusBadRequest
 }

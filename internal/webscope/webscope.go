@@ -11,14 +11,15 @@
 //
 // Threading: every piece of hub state is owned by the server's glib
 // loop goroutine, while net/http runs handlers on arbitrary goroutines.
-// The gateway never touches hub state directly — stream subscriptions
-// ride net.Pipe into Server.SubscribeWith and reads marshal through
-// Loop().Invoke (see Gateway.invoke). Each stream client gets the same
-// treatment a TCP subscriber gets: the hub end of its pipe is a real v2
-// subscription (shared encodings per filter signature, server-side
-// decimation, snapshot/backfill), and the browser end rides a bounded
-// drop-oldest event queue so one stalled tab never blocks the hub or
-// another viewer. Endpoint reference: docs/HTTP.md.
+// The gateway never touches hub state directly — stream subscriptions,
+// their commands and every read marshal through Loop().Invoke (see
+// Gateway.invoke). Each stream client is an in-process v2 subscription
+// (Server.SubscribeSink) with everything a TCP subscriber gets — shared
+// encodings per filter signature, server-side decimation,
+// snapshot/backfill — whose sink is a bounded drop-oldest event queue, so
+// one stalled tab never blocks the hub or another viewer. The hub encodes
+// JSON (or v3) for the queue directly; the gateway only frames events.
+// Endpoint reference: docs/HTTP.md.
 package webscope
 
 import (
@@ -64,10 +65,6 @@ type Gateway struct {
 	// loop or on a queue select on it.
 	stop chan struct{}
 
-	// bufPool recycles event encode buffers between stream emitters and
-	// their writer goroutines.
-	bufPool sync.Pool
-
 	// mu guards the stream-client registry and the shutdown flag. The
 	// WaitGroup counts every stream goroutine; Close waits for it, which
 	// is what makes Server.Close leak-free with writers in flight.
@@ -95,7 +92,6 @@ func New(srv *netscope.Server, opts Options) *Gateway {
 		stop:    make(chan struct{}),
 		streams: make(map[*stream]struct{}),
 	}
-	g.bufPool.New = func() any { b := make([]byte, 0, 4096); return &b }
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/stream", g.handleSSE)
 	mux.HandleFunc("/v1/ws", g.handleWS)
@@ -117,10 +113,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Close shuts the gateway down: refuses new streams, kills every
-// in-flight one (closing its hub pipe, its event queue, and — for
-// WebSocket — its hijacked connection), and waits for all stream
-// goroutines to exit. Safe to call more than once. netscope.Server.Close
-// calls it before tearing down the hub.
+// in-flight one (closing its event queue and, for WebSocket, its hijacked
+// connection), and waits for all stream goroutines to exit. Safe to call
+// more than once. netscope.Server.Close calls it before tearing down the
+// hub.
 func (g *Gateway) Close() error {
 	g.mu.Lock()
 	if g.closed {
@@ -180,16 +176,6 @@ func (g *Gateway) invoke(fn func()) bool {
 	case <-g.stop:
 		return false
 	}
-}
-
-// getBuf takes a recycled encode buffer (length 0).
-func (g *Gateway) getBuf() []byte {
-	return (*g.bufPool.Get().(*[]byte))[:0]
-}
-
-// putBuf recycles an encode buffer once its bytes are on the wire.
-func (g *Gateway) putBuf(b []byte) {
-	g.bufPool.Put(&b)
 }
 
 // httpError writes a JSON error body with the given status.

@@ -935,47 +935,54 @@ func TestStreamRequestMapping(t *testing.T) {
 
 // --- Unit: the event queue ---------------------------------------------------
 
+// rawEvent is a queue item carrying s.
+func rawEvent(s string, protected bool) event {
+	return event{kind: evRaw, data: []byte(s), protected: protected}
+}
+
+// takeAll drains one take and renders the items' payloads.
+func takeAll(t *testing.T, q *eventQueue) []string {
+	t.Helper()
+	evs, ok := q.take(nil)
+	if !ok {
+		t.Fatal("queue closed early")
+	}
+	var out []string
+	for _, ev := range evs {
+		out = append(out, string(ev.data))
+	}
+	return out
+}
+
 func TestEventQueueDropOldest(t *testing.T) {
 	q := newEventQueue(2)
-	if d := q.push([]byte("a")); len(d) != 0 {
-		t.Fatalf("dropped %v on first push", d)
+	if d := q.push(rawEvent("a", false)); d != 0 {
+		t.Fatalf("dropped %d on first push", d)
 	}
-	q.push([]byte("b"))
-	d := q.push([]byte("c"))
-	if len(d) != 1 || string(d[0]) != "a" {
-		t.Fatalf("dropped = %q, want oldest (a)", d)
+	q.push(rawEvent("b", false))
+	if d := q.push(rawEvent("c", false)); d != 1 {
+		t.Fatalf("dropped %d, want 1", d)
 	}
-	if q.drops() != 1 {
-		t.Fatalf("drops = %d", q.drops())
-	}
-	got, ok := q.pop()
-	if !ok || string(got) != "b" {
-		t.Fatalf("pop = %q %v", got, ok)
+	// The oldest (a) went overboard.
+	if got := fmt.Sprint(takeAll(t, q)); got != "[b c]" {
+		t.Fatalf("queued = %v, want [b c]", got)
 	}
 }
 
 func TestEventQueueProtected(t *testing.T) {
 	q := newEventQueue(2)
-	q.push([]byte("a"))
-	q.pushProtected([]byte("pong"))
+	q.push(rawEvent("a", false))
+	q.push(rawEvent("pong", true))
 	// The queue is at its limit; each push drops the oldest droppable
-	// event, never the pong.
-	if d := q.push([]byte("b")); len(d) != 1 || string(d[0]) != "a" {
-		t.Fatalf("dropped %q, want a", d)
+	// event (a, then b), never the pong.
+	if d := q.push(rawEvent("b", false)); d != 1 {
+		t.Fatalf("dropped %d, want 1", d)
 	}
-	if d := q.push([]byte("c")); len(d) != 1 || string(d[0]) != "b" {
-		t.Fatalf("dropped %q, want b", d)
+	if d := q.push(rawEvent("c", false)); d != 1 {
+		t.Fatalf("dropped %d, want 1", d)
 	}
-	var order []string
-	for i := 0; i < 2; i++ {
-		v, ok := q.pop()
-		if !ok {
-			t.Fatal("queue closed early")
-		}
-		order = append(order, string(v))
-	}
-	if fmt.Sprint(order) != "[pong c]" {
-		t.Fatalf("order = %v", order)
+	if got := fmt.Sprint(takeAll(t, q)); got != "[pong c]" {
+		t.Fatalf("order = %v", got)
 	}
 }
 
@@ -983,7 +990,7 @@ func TestEventQueueCloseUnblocksPop(t *testing.T) {
 	q := newEventQueue(4)
 	done := make(chan bool)
 	go func() {
-		_, ok := q.pop()
+		_, ok := q.take(nil)
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -991,13 +998,17 @@ func TestEventQueueCloseUnblocksPop(t *testing.T) {
 	select {
 	case ok := <-done:
 		if ok {
-			t.Fatal("pop returned ok after close")
+			t.Fatal("take returned ok after close")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("pop did not unblock on close")
+		t.Fatal("take did not unblock on close")
 	}
-	// Pushing into a closed queue hands the buffer straight back.
-	if d := q.push([]byte("x")); len(d) != 1 {
-		t.Fatalf("closed push kept the buffer: %v", d)
+	// Pushing into a closed queue discards the event without counting a
+	// drop: the stream is ending, not congested.
+	if d := q.push(rawEvent("x", false)); d != 0 {
+		t.Fatalf("closed push counted %d drops", d)
+	}
+	if _, ok := q.take(nil); ok {
+		t.Fatal("closed queue yielded an event")
 	}
 }
