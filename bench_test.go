@@ -988,6 +988,81 @@ func BenchmarkHubFanOutBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkHubIngestText measures publisher ingest on the traffic shape
+// probes produce: 16 signals sampled on every tick, so line i belongs to
+// signal i%16 and no two neighbouring lines share a name. The lines
+// arrive as text over a real publisher connection, and the hub keeps the
+// default snapshot window, so history retention is part of the cost (the
+// fan-out benches switch it off). One op is one line; the writer
+// goroutine encodes ahead of the hub on its own core.
+func BenchmarkHubIngestText(b *testing.B) {
+	const signals, chunkLines = 16, 2048
+	loop := glib.NewLoop(glib.NewVirtualClock(time.Unix(0, 0)), glib.WithGranularity(0))
+	srv := netscope.NewServer(loop)
+	pubAddr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := srv.ListenSubscribers("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", pubAddr.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	var names [signals]string
+	for s := range names {
+		names[s] = fmt.Sprintf("sig.%02d", s)
+	}
+	next := 0
+	send := func(n int) <-chan error {
+		first := next
+		next += n
+		done := make(chan error, 1)
+		go func() {
+			buf := make([]byte, 0, chunkLines*32)
+			for i := first; i < first+n; {
+				buf = buf[:0]
+				for end := min(i+chunkLines, first+n); i < end; i++ {
+					buf = tuple.AppendWire(buf, tuple.Tuple{Time: 1_700_000_000_000 + int64(i/signals), Value: float64(i % 100000), Name: names[i%signals]})
+				}
+				if _, err := conn.Write(buf); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		return done
+	}
+	drain := func(done <-chan error) {
+		for {
+			_, _, recv, perr := srv.Stats()
+			if perr != 0 {
+				b.Fatalf("%d parse errors", perr)
+			}
+			if recv >= int64(next) {
+				break
+			}
+			if !loop.Iterate() {
+				runtime.Gosched()
+			}
+		}
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm the name table, the batch buffer and the history array.
+	drain(send(1 << 16))
+	b.ReportAllocs()
+	b.ResetTimer()
+	drain(send(b.N))
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "lines/s")
+}
+
 // BenchmarkHubFanOutFiltered measures the v2 per-signal subscription path
 // at hub scale: 64 signals, 100 subscribers all filtered to one hot
 // signal, plus one unfiltered reference viewer. The filtered subscribers

@@ -230,13 +230,14 @@ func (f *Feed) PushBatch(batch []tuple.Tuple) int {
 	if len(batch) == 0 {
 		return 0
 	}
-	// Publisher batches overwhelmingly carry runs of one signal (a
-	// publisher streams the signals it owns), so route by run: hash once
-	// per run, lock once per run, append the whole run. The routing scan
-	// doubles as the time-order check, so the shard can bulk-append
-	// verified runs without re-reading them. A fully mixed batch degrades
-	// to per-tuple runs, which is still one hash and a short uncontended
-	// lock per tuple — no worse than per-sample Push.
+	// Route by same-signal run: hash once per run, lock once per run,
+	// append the whole run. The routing scan doubles as the time-order
+	// check, so the shard can bulk-append verified runs without
+	// re-reading them. Runs are long when a batch comes from a binary
+	// frame or a single-signal source; interleaved probe ticks — one
+	// tuple per signal per tick, the measured publisher case — degrade
+	// to one-tuple runs, which is still one hash and a short uncontended
+	// lock per tuple, no worse than per-sample Push.
 	accepted := 0
 	for start := 0; start < len(batch); {
 		name := batch[start].Name

@@ -169,10 +169,9 @@ func (sub *subscriber) bufferChunk(chunk []byte, limit int) {
 // activation, in order). Bounded drop-oldest in chunks, counted — the
 // same units as the live write queue.
 func (sub *subscriber) bufferTuples(batch []tuple.Tuple, limit int) {
-	f := sub.sub.filter
 	var keep []tuple.Tuple
 	for _, t := range batch {
-		if !f.match(t.Name) {
+		if !sub.sub.matches(t.Name) {
 			sub.filtered++
 			continue
 		}
@@ -826,9 +825,11 @@ func frame(verb string, fields ...string) tuple.ControlFrame {
 
 // encodeSubset encodes the tuples of batch that pass the subscription
 // (advancing its decimation clock) into a fresh chunk. Names are cleaned
-// once per same-name run, not once per tuple — batches are overwhelmingly
-// runs of one signal, and deliverBatch already canonicalized them, so the
-// common case is a pointer-equal compare.
+// once per same-name run, not once per tuple. That pays off for binary
+// frames and single-signal relays, which deliver runs; interleaved probe
+// ticks — the measured publisher case — change name every tuple and
+// clean each one, a pointer-equal compare for the canonical names
+// deliverBatch carries.
 func encodeSubset(sub *subscription, batch []tuple.Tuple) (chunk []byte, matched int) {
 	var out []byte
 	var prev, prevClean string
@@ -1012,6 +1013,17 @@ func (s *Server) retain(t tuple.Tuple) {
 	if s.hub.newestMS-t.Time > winMS {
 		return // stale-stamped: outside the snapshot window on arrival
 	}
+	if len(s.hub.history) == cap(s.hub.history) {
+		// The front-only prune leaves the array's head unusable, so the
+		// end is reached once per histLimit appends at most. Regrow to
+		// 2×histLimit: one copy of the live window per histLimit
+		// appends, where append's own ~1.25× growth copied it every ~1k
+		// tuples. Views captured by subscribeSniff stay valid — the old
+		// array is never written again.
+		grown := make([]tuple.Tuple, len(s.hub.history), 2*s.hub.histLimit) //gscope:allow hotpath one regrowth per histLimit appends
+		copy(grown, s.hub.history)
+		s.hub.history = grown
+	}
 	s.hub.history = append(s.hub.history, t)
 	cut := 0
 	if over := len(s.hub.history) - s.hub.histLimit; over > 0 {
@@ -1022,10 +1034,8 @@ func (s *Server) retain(t tuple.Tuple) {
 	}
 	if cut > 0 {
 		// Reslice instead of copying: this runs per broadcast tuple on
-		// the loop goroutine, and append reallocates (copying only the
-		// live tail) once the backing array's capacity is spent, so the
-		// prune is amortized O(1) and memory stays bounded by ~2× the
-		// live window.
+		// the loop goroutine, so the prune is O(1) and memory stays
+		// bounded by the 2×histLimit array above.
 		s.hub.history = s.hub.history[cut:]
 	}
 }
@@ -1043,6 +1053,7 @@ func (s *Server) Inject(t tuple.Tuple) {
 // feed push and one broadcast chunk — the batch counterpart relays use.
 func (s *Server) InjectBatch(batch []tuple.Tuple) {
 	s.received += int64(len(batch))
+	s.canonicalizeNames(batch)
 	s.deliverBatch(batch)
 }
 

@@ -174,7 +174,10 @@ type Server struct {
 	flight    *reclog.Log
 	flightDir string        // the recording directory, for v2 backfill reads
 	mapped    []tuple.Tuple // MapTime rebase scratch, reused across batches
-	intern    *tuple.Interner
+
+	// names is the hub's name table: signal name → its one canonical
+	// string. Only the loop goroutine touches it, so it needs no lock.
+	names map[string]string
 
 	hub hubState
 
@@ -204,41 +207,73 @@ func NewServer(loop *glib.Loop) *Server {
 	return &Server{
 		loop:    loop,
 		clients: make(map[net.Conn]*glib.IOWatch),
-		intern:  tuple.NewInterner(),
+		names:   make(map[string]string),
 	}
 }
 
-// maxInternedNames bounds the server's name interner so a hostile
-// publisher inventing names cannot grow it without limit; names past the
-// cap still flow, they just keep their per-line backing arrays.
+// maxInternedNames bounds the server's name table so a hostile publisher
+// inventing names cannot grow it without limit; names past the cap still
+// flow, they just are not shared.
 const maxInternedNames = 4096
 
-// canonicalizeNames rewrites each tuple's name to the interned instance.
-// Parsed names are substrings of their read chunk: retaining one tuple
-// (snapshot history, feed backlogs, recorder queues) used to pin the whole
-// line's backing array — per tuple, for the life of the retention window.
-// Interning on parse makes every tuple of one signal share a single
-// canonical string and the line buffers die young. Batches are
-// overwhelmingly runs of one signal, so after the first tuple of a run the
-// rewrite is a pointer-equal string compare.
+// Every tuple the hub retains — snapshot history, feed backlogs, recorder
+// queues — carries its name, so names are made canonical on the way in:
+// all tuples of one signal share a single string, and the buffers the
+// names were decoded from die young instead of being pinned, per tuple,
+// for the life of the retention window. Text lines resolve their name
+// bytes straight to the canonical string (nameOf); batches that arrive
+// already decoded — binary frames, injected and datagram batches — are
+// rewritten in place (canonicalizeNames). Publisher traffic is tuned for
+// the interleaved case: a probe set sampled per timer tick sends one
+// tuple of each signal in turn, so every tuple pays one map lookup.
+
+// nameOf returns the canonical string for a text line's name field.
+//
+//gscope:hotpath
+func (s *Server) nameOf(b []byte) string {
+	if c, ok := s.names[string(b)]; ok {
+		return c
+	}
+	return s.intern(string(b)) //gscope:allow hotpath a name copies once when first seen; only names past the table cap copy per tuple
+}
+
+// canonicalizeNames rewrites each tuple's name to its canonical string.
+// Binary frames decode runs of one signal, so consecutive equal names
+// skip the lookup.
 //
 //gscope:hotpath
 func (s *Server) canonicalizeNames(batch []tuple.Tuple) {
 	var prev, prevC string
 	for i := range batch {
 		name := batch[i].Name
-		if name == prev {
-			batch[i].Name = prevC
-			continue
+		if name != prev {
+			prev = name
+			prevC = s.canonical(name)
 		}
-		prev = name
-		if id, ok := s.intern.Lookup(name); ok {
-			batch[i].Name = s.intern.Name(id)
-		} else if s.intern.Len() < maxInternedNames {
-			batch[i].Name = s.intern.Canonical(name) //gscope:allow hotpath interning allocates once per new signal name, not per tuple
-		}
-		prevC = batch[i].Name
+		batch[i].Name = prevC
 	}
+}
+
+// canonical returns the table's instance of name, adding a detached copy
+// first when there is room.
+//
+//gscope:hotpath
+func (s *Server) canonical(name string) string {
+	if c, ok := s.names[name]; ok {
+		return c
+	}
+	return s.intern(strings.Clone(name)) //gscope:allow hotpath a name copies once when first seen; only names past the table cap copy per tuple
+}
+
+// intern adds name — a string no caller's buffer backs — to the table
+// if it is valid and the table has room, and returns it.
+//
+//gscope:hotpath
+func (s *Server) intern(name string) string {
+	if len(s.names) < maxInternedNames && tuple.ValidateName(name) == nil {
+		s.names[name] = name
+	}
+	return name
 }
 
 // Attach adds a scope whose feed will receive every tuple. BUFFER signals
@@ -299,28 +334,9 @@ func (s *Server) addClient(conn net.Conn) {
 	// binary frames, freely interleaved (docs/WIRE.md) — with no up-front
 	// negotiation: frames are self-marking, so the per-connection decoder
 	// accepts either encoding at any line/frame boundary.
-	var batch []tuple.Tuple
-	dec := tuple.NewStreamDecoder()
-	onLine := func(line string) {
-		if tuple.IsComment(line) {
-			return
-		}
-		t, perr := tuple.Parse(line)
-		if perr != nil {
-			s.parseErrors++
-			return
-		}
-		batch = append(batch, t)
-	}
-	onTuples := func(ts []tuple.Tuple) { batch = append(batch, ts...) }
+	in := &ingest{s: s, dec: tuple.NewStreamDecoder()}
 	w := s.loop.WatchReaderSize(conn, 64*1024, func(data []byte, err error) bool {
-		batch = batch[:0]
-		ferr := dec.Feed(data, onLine, onTuples)
-		if err != nil && ferr == nil {
-			dec.Tail(onLine)
-		}
-		s.received += int64(len(batch))
-		s.deliverBatch(batch)
+		ferr := in.feed(data, err != nil)
 		if ferr != nil {
 			// A bad text line is skippable (newlines resynchronize), but
 			// malformed binary framing loses the frame boundaries: nothing
@@ -339,12 +355,61 @@ func (s *Server) addClient(conn net.Conn) {
 	s.clients[conn] = w
 }
 
+// ingest decodes one publisher connection's byte stream into batches.
+// Text lines are parsed in place in the read buffer and their names
+// resolved through the name table, so a warm connection allocates
+// nothing per line.
+type ingest struct {
+	s     *Server
+	dec   *tuple.StreamDecoder
+	batch []tuple.Tuple
+}
+
+// feed decodes one read chunk (and, at end of stream, the unterminated
+// tail) and delivers it as one batch. The error is the stream's framing
+// error, after which nothing more is decodable.
+func (in *ingest) feed(data []byte, eof bool) error {
+	in.batch = in.batch[:0]
+	ferr := in.dec.FeedBytes(data, in.line, in.tuples)
+	if eof && ferr == nil {
+		in.dec.TailBytes(in.line)
+	}
+	in.s.received += int64(len(in.batch))
+	in.s.deliverBatch(in.batch)
+	return ferr
+}
+
+// line decodes one text line.
+//
+//gscope:hotpath
+func (in *ingest) line(ln []byte) {
+	ms, v, name, kind := tuple.ParseBytes(ln)
+	switch kind {
+	case tuple.LineComment:
+	case tuple.LineBad:
+		in.s.parseErrors++
+	default:
+		in.batch = append(in.batch, tuple.Tuple{Time: ms, Value: v, Name: in.s.nameOf(name)})
+	}
+}
+
+// tuples takes one binary frame's decoded tuples.
+//
+//gscope:hotpath
+func (in *ingest) tuples(ts []tuple.Tuple) {
+	n := len(in.batch)
+	in.batch = append(in.batch, ts...)
+	in.s.canonicalizeNames(in.batch[n:])
+}
+
 func (s *Server) deliver(t tuple.Tuple) {
 	one := [1]tuple.Tuple{t}
+	s.canonicalizeNames(one[:])
 	s.deliverBatch(one[:])
 }
 
-// deliverBatch runs the full delivery pipeline for a decoded batch:
+// deliverBatch runs the full delivery pipeline for a decoded batch whose
+// names are already canonical:
 // observers and the flight recorder see every tuple, attached scopes
 // ingest the batch through their sharded feeds in one call, and the hub
 // broadcasts it to subscribers as one chunk. MapTime rebasing applies only to scope
@@ -353,7 +418,6 @@ func (s *Server) deliverBatch(batch []tuple.Tuple) {
 	if len(batch) == 0 {
 		return
 	}
-	s.canonicalizeNames(batch)
 	if s.OnTuple != nil {
 		for _, t := range batch {
 			s.OnTuple(t)

@@ -258,7 +258,9 @@ func WithWireVersion(v int) SubscribeOption {
 }
 
 // sigFilter is a compiled signal-name filter: exact names hash, glob
-// patterns scan. nil means "match everything".
+// patterns scan. nil means "match everything". A filter is immutable once
+// compiled — flight-log backfill reads it on its own goroutine — so the
+// per-name verdict memo lives in the loop-owned subscription instead.
 type sigFilter struct {
 	exact map[string]struct{}
 	globs []string
@@ -310,6 +312,9 @@ type subscription struct {
 	// lastSent is the per-signal decimation clock: the stamp of the last
 	// delivered tuple of each signal.
 	lastSent map[string]int64
+	// verdict memoizes a glob filter's match per signal name, bounded by
+	// maxInternedNames like the hub's name table. Loop goroutine only.
+	verdict map[string]bool
 }
 
 func compileSubscription(req SubscriptionRequest) *subscription {
@@ -332,7 +337,7 @@ func compileSubscription(req SubscriptionRequest) *subscription {
 // a rewind would widen the next gap and let an out-of-order interleaving
 // defeat the rate cap entirely.
 func (s *subscription) passes(t tuple.Tuple) bool {
-	if !s.filter.match(t.Name) {
+	if !s.matches(t.Name) {
 		return false
 	}
 	if s.minGapMS > 0 {
@@ -344,6 +349,26 @@ func (s *subscription) passes(t tuple.Tuple) bool {
 		s.lastSent[t.Name] = t.Time
 	}
 	return true
+}
+
+// matches is filter.match memoized per signal name. Exact-name filters
+// are a single map lookup already; a glob filter would otherwise run
+// path.Match per pattern on every tuple of every batch.
+func (s *subscription) matches(name string) bool {
+	if s.filter == nil || len(s.filter.globs) == 0 {
+		return s.filter.match(name)
+	}
+	if v, ok := s.verdict[name]; ok {
+		return v
+	}
+	v := s.filter.match(name)
+	if len(s.verdict) < maxInternedNames {
+		if s.verdict == nil {
+			s.verdict = make(map[string]bool)
+		}
+		s.verdict[name] = v
+	}
+	return v
 }
 
 // plain reports whether the subscription imposes no per-tuple work at all,

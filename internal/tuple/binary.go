@@ -314,13 +314,13 @@ func (e *BinaryEncoder) AppendBatchReadOnly(dst []byte, batch []Tuple) []byte {
 var errShortFrame = errors.New("short frame")
 
 // StreamDecoder incrementally decodes a mixed text/binary tuple stream
-// from arbitrarily sliced chunks — the inbound half of the v3 wire. Feed
-// dispatches, in stream order, complete text lines to line (newline
-// stripped, one trailing \r trimmed, exactly the framing of
+// from arbitrarily sliced chunks — the inbound half of the v3 wire.
+// FeedBytes dispatches, in stream order, complete text lines to line
+// (newline stripped, one trailing \r trimmed, exactly the framing of
 // glib.WatchLineBatches) and each DATA frame's tuples to batch (the slice
-// is reused across calls). DICT frames update the dictionary invisibly;
-// unknown frame types are skipped by length for forward compatibility
-// (WIRE.md §B2).
+// is reused across calls); Feed is the same decoder handing lines over as
+// strings. DICT frames update the dictionary invisibly; unknown frame
+// types are skipped by length for forward compatibility (WIRE.md §B2).
 //
 // Framing errors are sticky and fatal: once Feed returns a non-nil error
 // the stream is undecodable past that point (WIRE.md §B7). Decoded names
@@ -351,10 +351,17 @@ func (d *StreamDecoder) Reset() {
 	d.err = nil
 }
 
-// Feed consumes the next chunk of the stream. line and batch are invoked
-// synchronously, in stream order; their arguments are valid only for the
-// duration of the call.
+// Feed consumes the next chunk of the stream, handing each text line to
+// line as a new string. It is FeedBytes for consumers that keep lines.
 func (d *StreamDecoder) Feed(data []byte, line func(string), batch func([]Tuple)) error {
+	return d.FeedBytes(data, func(ln []byte) { line(string(ln)) }, batch)
+}
+
+// FeedBytes consumes the next chunk of the stream. line and batch are
+// invoked synchronously, in stream order; their arguments are valid only
+// for the duration of the call — a text line is a view into data (or the
+// decoder's carry buffer), which ParseBytes decodes without copying.
+func (d *StreamDecoder) FeedBytes(data []byte, line func([]byte), batch func([]Tuple)) error {
 	if d.err != nil {
 		return d.err
 	}
@@ -383,7 +390,7 @@ func (d *StreamDecoder) Feed(data []byte, line func(string), batch func([]Tuple)
 			if len(ln) > 0 && ln[len(ln)-1] == '\r' {
 				ln = ln[:len(ln)-1]
 			}
-			line(string(ln))
+			line(ln)
 			pos += rel + 1
 		}
 	}
@@ -416,12 +423,18 @@ func (d *StreamDecoder) TornFrame() bool {
 // line (the way bufio.Scanner treats one) and is delivered to line; an
 // incomplete trailing frame is a torn tail and is discarded.
 func (d *StreamDecoder) Tail(line func(string)) {
+	d.TailBytes(func(ln []byte) { line(string(ln)) })
+}
+
+// TailBytes is Tail handing the trailing line over as a view, like
+// FeedBytes.
+func (d *StreamDecoder) TailBytes(line func([]byte)) {
 	if d.err == nil && len(d.carry) > 0 && d.carry[0] != FrameMarker {
 		ln := d.carry
 		if ln[len(ln)-1] == '\r' {
 			ln = ln[:len(ln)-1]
 		}
-		line(string(ln))
+		line(ln)
 	}
 	d.carry = d.carry[:0]
 }

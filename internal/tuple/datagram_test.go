@@ -120,6 +120,14 @@ func TestDatagramEncoderZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		dst = enc.AppendDatagram(dst[:0], batch)
 	}
+	// Mallocs counts the whole process, and the runtime allocates about
+	// five heap objects whenever it starts an OS thread — which it does
+	// when a stop-the-world (runtime.GC, ReadMemStats) ends or the
+	// background scavenger wakes while a P sits idle with no spare thread.
+	// With one P there is never an idle P to start a thread for, so the
+	// window sees only the encoder's allocations (testing.AllocsPerRun
+	// pins GOMAXPROCS the same way).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)

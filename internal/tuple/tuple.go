@@ -252,9 +252,11 @@ func AppendWirePrepared(dst []byte, timeMS int64, v float64, name string) []byte
 	return append(dst, '\n')
 }
 
-// AppendWireBatch appends every tuple in batch to dst in wire form.
-// Publisher batches overwhelmingly carry runs of one signal, so the name
-// is validated once per run, not once per tuple.
+// AppendWireBatch appends every tuple in batch to dst in wire form. The
+// name is validated once per same-signal run: a relayed binary frame or a
+// single-signal publisher hands over long runs, while interleaved probe
+// ticks (one tuple per signal per tick, the common publisher shape) make
+// every run one tuple long and pay CleanName's edge check per tuple.
 //
 //gscope:hotpath
 func AppendWireBatch(dst []byte, batch []Tuple) []byte {
@@ -268,40 +270,6 @@ func AppendWireBatch(dst []byte, batch []Tuple) []byte {
 		i = j
 	}
 	return dst
-}
-
-// Parse decodes one tuple line. Both the two-field (time value) and
-// three-field (time value name) forms are accepted. Signal names may
-// contain spaces: everything after the second field is the name.
-func Parse(line string) (Tuple, error) {
-	s := strings.TrimSpace(line)
-	if s == "" {
-		return Tuple{}, fmt.Errorf("tuple: empty line")
-	}
-	timeField, rest, _ := strings.Cut(s, " ")
-	rest = strings.TrimSpace(rest)
-	if rest == "" {
-		return Tuple{}, fmt.Errorf("tuple: %q: missing value field", line)
-	}
-	valueField, name, _ := strings.Cut(rest, " ")
-	name = strings.TrimSpace(name)
-
-	ms, err := strconv.ParseInt(timeField, 10, 64)
-	if err != nil {
-		return Tuple{}, fmt.Errorf("tuple: %q: bad time: %w", line, err)
-	}
-	v, err := strconv.ParseFloat(valueField, 64)
-	if err != nil {
-		return Tuple{}, fmt.Errorf("tuple: %q: bad value: %w", line, err)
-	}
-	return Tuple{Time: ms, Value: v, Name: name}, nil
-}
-
-// IsComment reports whether a line is blank or a '#' comment, both of which
-// readers skip.
-func IsComment(line string) bool {
-	s := strings.TrimSpace(line)
-	return s == "" || strings.HasPrefix(s, "#")
 }
 
 // Writer serializes tuples to an underlying stream, one per line.

@@ -13,7 +13,9 @@
 //
 //   - make/new and slice, map, or chan composite literals
 //   - address-taken composite literals (&T{...} escapes)
-//   - string concatenation and string<->[]byte/[]rune conversions
+//   - string concatenation and string<->[]byte/[]rune conversions, except
+//     string(b) used directly as a map index, which the compiler looks up
+//     without copying
 //   - boxing a concrete value into an interface (call arguments,
 //     returns, assignments) and variadic argument slices
 //   - closures that capture variables, method values, go statements
@@ -57,6 +59,7 @@ var allowedPkgs = map[string]bool{
 	"encoding/binary": true,
 	"bytes":           true,
 	"strings":         true,
+	"unicode":         true,
 	"unicode/utf8":    true,
 	"errors":          true,
 	"sort":            true,
@@ -108,11 +111,28 @@ func run(pass *vet.Pass) error {
 func check(pass *vet.Pass, fd *ast.FuncDecl) {
 	c := &checker{pass: pass, info: pass.TypesInfo, fd: fd}
 	// Mark expressions used as call targets so `x.M()` is not also
-	// reported as a method value.
+	// reported as a method value, and conversions used as the key of a
+	// map read (m[string(b)] looks b up without copying it; a store
+	// copies the key).
 	c.callFuns = make(map[ast.Expr]bool)
+	c.mapKeys = make(map[ast.Expr]bool)
+	stores := make(map[ast.Expr]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			c.callFuns[ast.Unparen(call.Fun)] = true
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			c.callFuns[ast.Unparen(n.Fun)] = true
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				stores[ast.Unparen(lhs)] = true
+			}
+		case *ast.IncDecStmt:
+			stores[ast.Unparen(n.X)] = true
+		case *ast.IndexExpr:
+			if tv := c.info.Types[n.X]; tv.Type != nil && !stores[n] {
+				if _, ok := tv.Type.Underlying().(*types.Map); ok {
+					c.mapKeys[ast.Unparen(n.Index)] = true
+				}
+			}
 		}
 		return true
 	})
@@ -124,6 +144,7 @@ type checker struct {
 	info     *types.Info
 	fd       *ast.FuncDecl
 	callFuns map[ast.Expr]bool
+	mapKeys  map[ast.Expr]bool
 }
 
 func (c *checker) visit(n ast.Node) bool {
@@ -246,6 +267,9 @@ func (c *checker) conversion(call *ast.CallExpr) {
 	}
 	switch {
 	case isString(dst) && !isString(src):
+		if c.mapKeys[call] {
+			return
+		}
 		c.pass.Reportf(call.Pos(), "conversion to string allocates")
 	case isByteOrRuneSlice(dst) && isString(src):
 		c.pass.Reportf(call.Pos(), "conversion from string allocates")
@@ -312,6 +336,9 @@ func (c *checker) assigns(as *ast.AssignStmt) {
 func (c *checker) boxCheck(dst types.Type, src ast.Expr) {
 	if dst == nil || !types.IsInterface(dst) {
 		return
+	}
+	if _, ok := dst.(*types.TypeParam); ok {
+		return // a type argument is instantiated, not boxed
 	}
 	tv, ok := c.info.Types[src]
 	if !ok || tv.Type == nil || tv.IsNil() || types.IsInterface(tv.Type) {

@@ -102,6 +102,26 @@ func callsHot(r *ring) {
 }
 
 //gscope:hotpath
+func mapKeyConv(m map[string]int, bs []byte) int {
+	return m[string(bs)] // the lookup does not copy bs: fine
+}
+
+//gscope:hotpath
+func mapKeyStore(m map[string]int, bs []byte) {
+	m[string(bs)] = 1 // want ` + "`conversion to string allocates`" + `
+}
+
+//gscope:hotpath
+func first[T string | []byte](s T) byte {
+	return s[0]
+}
+
+//gscope:hotpath
+func instantiates(bs []byte) byte {
+	return first(bs) // a type argument is not boxed: fine
+}
+
+//gscope:hotpath
 func allowedConv(bs []byte) string {
 	return string(bs) //gscope:allow hotpath fixture: cold error path // allowed ` + "`conversion to string allocates`" + `
 }

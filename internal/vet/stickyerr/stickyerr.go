@@ -16,8 +16,8 @@
 //     iteration — anything but terminating the consuming path
 //   - re-wrapping the tested error with fmt.Errorf without %w inside
 //     such a branch, which strips the sticky identity
-//   - discarding the error result of (*tuple.StreamDecoder).Feed, the
-//     call that produces frame errors on the live read path
+//   - discarding the error result of (*tuple.StreamDecoder).Feed or
+//     FeedBytes, the calls that produce frame errors on the read paths
 package stickyerr
 
 import (
@@ -43,7 +43,8 @@ const tuplePkg = "repro/internal/tuple"
 // stickySources are functions whose error result carries ErrBadFrame
 // and must never be discarded.
 var stickySources = map[string]bool{
-	"(*repro/internal/tuple.StreamDecoder).Feed": true,
+	"(*repro/internal/tuple.StreamDecoder).Feed":      true,
+	"(*repro/internal/tuple.StreamDecoder).FeedBytes": true,
 }
 
 func run(pass *vet.Pass) error {

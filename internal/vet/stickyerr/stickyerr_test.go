@@ -87,6 +87,10 @@ func drops(d *tuple.StreamDecoder, b []byte) {
 	d.Feed(b, nil, nil) // want ` + "`error result of Feed dropped`" + `
 }
 
+func dropsBytes(d *tuple.StreamDecoder, b []byte) {
+	d.FeedBytes(b, nil, nil) // want ` + "`error result of FeedBytes dropped`" + `
+}
+
 func blanks(d *tuple.StreamDecoder, b []byte) {
 	_ = d.Feed(b, nil, nil) // want ` + "`error result of Feed blanked`" + `
 }
